@@ -11,22 +11,15 @@ a returned witness is always a checked certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .field import (JordanSpec, Matrix, antitranspose, image_subspace,
                     jordan_matrix, regular_nilpotent, similarity_transform,
                     subspace_le, span_of, w0_matrix)
-from .flags import (Flag, FlagSet, canonical_form, chain, iter_flags, member,
-                    q_factorial)
+from .flags import Flag, canonical_form, chain, flag_at, member
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
 from .varieties import OperatorSpec, variety_bitmaps
-
-
-@lru_cache(maxsize=8)
-def _flags(n: int, p: int):
-    return tuple(iter_flags(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +208,7 @@ def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport
     s_t = transpose_shape(s)
     v1, v3 = variety_bitmaps(xm, [s, s_t], n, p)
     v2 = variety_bitmaps(ym, [s_t], n, p)[0]
-    flags = _flags(n, p)
-    members = [flags[idx] for idx in v1.indices()]
-    images = [involution_image(f) for f in members]
+    images = [involution_image(flag_at(idx, n, p)) for idx in v1.indices()]
     inter_ok = {g.index for g in images} == set(v2.indices())
     pmat = similarity_transform(ym, xm)
     if pmat is None:
@@ -289,15 +280,14 @@ def verify_decomposition(s: HessShape, p: int,
     v = variety_bitmaps(regular_nilpotent(n, p), [s], n, p)[0]
     v1 = variety_bitmaps(regular_nilpotent(j, p), [h1], j, p)[0]
     v2 = variety_bitmaps(regular_nilpotent(n - j, p), [h2], n - j, p)[0]
-    flags1 = _flags(j, p)
-    flags2 = _flags(n - j, p)
+    flags1 = [flag_at(i, j, p) for i in v1.indices()]
+    flags2 = [flag_at(i, n - j, p) for i in v2.indices()]
     target = set(v.indices())
     seen = set()
     pairs = 0
     ok = True
-    for i1 in v1.indices():
-        for i2 in v2.indices():
-            f1, f2 = flags1[i1], flags2[i2]
+    for f1 in flags1:
+        for f2 in flags2:
             prod = product_flag(f1, f2)
             pairs += 1
             if prod.index not in target or prod.index in seen:

@@ -15,7 +15,7 @@ import sys
 
 from . import certificates, varieties
 from .field import jordan_matrix
-from .flags import GUARD_PRIMES, canonical_form, flag_text
+from .flags import GUARD_PRIMES, canonical_form, flag_at, flag_text
 from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,
                      negative_root_set, parse_shape, shape_text,
                      shape_to_diagram)
@@ -113,10 +113,8 @@ def cmd_variety(args) -> int:
     results = []
     counts = []
     for p in primes:
-        v = varieties.compute_variety(op, shape, p, workers=args.workers,
-                                      override=args.force)
-        flags = certificates._flags(args.n, p)
-        pts = [flag_text(flags[i]) for i in v.points.indices()]
+        v = varieties.compute_variety(op, shape, p, override=args.force)
+        pts = [flag_text(flag_at(i, args.n, p)) for i in v.points.indices()]
         counts.append(v.points.count)
         results.append({"p": p, "count": v.points.count, "points": pts})
     fit = None
@@ -153,8 +151,7 @@ def _poset_dot(poset) -> str:
 def cmd_poset(args) -> int:
     op = parse_operator(args.x, args.n)
     primes = parse_primes(args.p)
-    poset = varieties.build_poset(op, primes, strict_only=args.strict,
-                                  workers=args.workers)
+    poset = varieties.build_poset(op, primes, strict_only=args.strict)
     if args.format == "dot":
         _emit(args, _poset_dot(poset))
         return 0
@@ -258,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True)
     sp.add_argument("--h", required=True)
     sp.add_argument("--p", required=True, help="comma-separated primes")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--force", action="store_true",
                     help="override the n/p size guard")
     add_common(sp)
@@ -269,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True)
     sp.add_argument("--p", required=True, help="comma-separated primes")
     sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=("json", "dot"), default="json")
     add_common(sp)
     sp.set_defaults(func=cmd_poset)

@@ -9,12 +9,13 @@ l(w) of them, so the total flag count is the q-factorial [n]_p!.
 Enumeration order: permutations in lexicographic order on the image
 tuple, then lexicographic on the free-parameter vector (first free
 position most significant). This order is the index space of FlagSet
-bitmaps and is stable across runs and worker counts.
+bitmaps and is stable across runs.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,15 +84,34 @@ class FlagSet:
         return bool(self.bits >> index & 1)
 
     def indices(self):
-        return [i for i in range(self.size) if self.bits >> i & 1]
+        """Member indices in ascending order."""
+        out = []
+        data = self.bits.to_bytes((self.size + 7) // 8, "little")
+        for k, byte in enumerate(data):
+            if byte:
+                base = 8 * k
+                out.extend(base + b for b in _BYTE_BITS[byte])
+        return out
 
     @staticmethod
     def from_indices(indices, n: int, p: int) -> "FlagSet":
         size = q_factorial(n, p)
-        bits = 0
-        for i in indices:
-            bits |= 1 << i
-        return FlagSet(n, p, size, bits)
+        return FlagSet(n, p, size, bits_from_indices(indices, size))
+
+
+# Bit positions set in each byte value, ascending.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1)
+                   for v in range(256))
+
+
+def bits_from_indices(indices, size: int) -> int:
+    """Bitmap with the given indices set, built in one pass."""
+    buf = bytearray((size + 7) // 8)
+    for i in indices:
+        if not 0 <= i < size:
+            raise ValueError("flag index %d out of range" % i)
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +123,13 @@ def _cell_offsets(n: int, p: int):
         offsets[w] = pos
         pos += p ** inversions(w)
     return offsets
+
+
+@lru_cache(maxsize=None)
+def _cell_starts(n: int, p: int):
+    """(start indices, cells) in enumeration order, for bisection."""
+    offsets = _cell_offsets(n, p)
+    return tuple(offsets.values()), tuple(offsets)
 
 
 def _build_rep(w, values, p: int) -> Matrix:
@@ -167,6 +194,21 @@ def _flag_index(w, values, n: int, p: int) -> int:
     for v in values:
         rank = rank * p + v
     return _cell_offsets(n, p)[tuple(w)] + rank
+
+
+def flag_at(index: int, n: int, p: int) -> Flag:
+    """The flag at a position of the enumeration order; inverse of the
+    index that iter_flags and canonical_form assign."""
+    if not 0 <= index < q_factorial(n, p):
+        raise ValueError("flag index %d out of range" % index)
+    starts, cells = _cell_starts(n, p)
+    c = bisect_right(starts, index) - 1
+    w = cells[c]
+    rank = index - starts[c]
+    values = [0] * inversions(w)
+    for k in range(len(values) - 1, -1, -1):
+        rank, values[k] = divmod(rank, p)
+    return Flag(n, p, _build_rep(w, values, p), w, index)
 
 
 def permutation_flag(w, p: int) -> Flag:

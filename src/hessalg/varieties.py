@@ -8,12 +8,14 @@ each prime to reduce accidental coincidences.
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .field import JordanSpec, Matrix, jordan_matrix, jordan_spec
-from .flags import FlagSet, check_guards, iter_flags, q_factorial
+from .flags import (FlagSet, _cell_offsets, bits_from_indices, check_guards,
+                    q_factorial)
 from .shapes import (HessShape, diagram_text, enumerate_shapes, shape_text)
 
 EQUAL = "equal"
@@ -49,11 +51,14 @@ class OperatorSpec:
         if self.blocks is None:
             return None
         syms = self._symbols()
-        if len(syms) > p:
+        taken = {int(ev) % p for ev, _ in self.blocks
+                 if not isinstance(ev, str)}
+        free = [v for v in range(p - 1, -1, -1) if v not in taken]
+        if len(syms) > len(free):
             raise ValueError(
                 "p=%d too small for %d distinct symbolic eigenvalues"
                 % (p, len(syms)))
-        values = {s: p - 1 - i for i, s in enumerate(syms)}
+        values = dict(zip(syms, free))
         resolved = [(values[ev] if isinstance(ev, str) else int(ev) % p, size)
                     for ev, size in self.blocks]
         return jordan_spec(resolved, p)
@@ -98,49 +103,147 @@ class Variety:
     points: FlagSet
 
 
-@lru_cache(maxsize=8)
-def _flag_table(n: int, p: int, override: bool = False):
-    """Per-flag (rep, inverse) matrices, cached per field context."""
-    return tuple((f.rep, f.rep.inverse()) for f in iter_flags(n, p, override))
+def _profile_groups(x: Matrix, n: int, p: int, bound):
+    """Indices of the flags whose profile is <= bound, grouped by profile.
+
+    The profile of gB is (m_1, ..., m_n), where m_j is the lowest nonzero
+    row of column j of g^{-1} X g (0 for a zero column), i.e. the least m
+    with X c_j in F_m. A flag lies in Hess(X, t) iff m <= t componentwise.
+
+    The search places the columns of the canonical representative depth
+    first. For each placed column j it carries the residual of X c_j
+    reduced against the columns placed so far: column k is reduced out by
+    its pivot row, which is exact because every later column vanishes on
+    the pivot rows of earlier ones. The residual dies at the column m_j,
+    so a residual still alive at depth >= bound_j cuts the subtree; one
+    that must die at the column being placed determines that column.
+    """
+    xcols = [list(col) for col in zip(*x.rows)]
+    offsets = {tuple(i - 1 for i in cell): start
+               for cell, start in _cell_offsets(n, p).items()}
+    groups = {}
+    w = [0] * n       # 0-based pivot rows of the placed columns
+    cols = [None] * n
+    prof = [0] * n
+
+    def reduce_new(v, d):
+        """(m, None) for the image v of column d if it lies in F_{d+1},
+        else (None, its residual against columns 0..d)."""
+        if not any(v):
+            return 0, None
+        for k in range(d + 1):
+            y = v[w[k]]
+            if y:
+                v = [(a - y * b) % p for a, b in zip(v, cols[k])]
+                if not any(v):
+                    return k + 1, None
+        return None, v
+
+    def place(d, unused, rank, alive):
+        depth = d + 1
+        if depth == n:
+            # The last column is the unit vector at the last free row; every
+            # residual still alive is a multiple of it and dies here.
+            r = unused[0]
+            w[d] = r
+            m = reduce_new(xcols[r], d - 1)[0]
+            if m is None:
+                m = n
+            if m > bound[d]:
+                return
+            for j, _ in alive:
+                prof[j] = n
+            prof[d] = m
+            idx = offsets[tuple(w)] + rank
+            key = tuple(prof)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = array("q")
+            group.append(idx)
+            return
+        forced = next((res for j, res in alive if bound[j] <= depth), None)
+        if forced is None:
+            children = [(pos, r, vals) for pos, r in enumerate(unused)
+                        for vals in itertools.product(range(p), repeat=pos)]
+        else:
+            # This residual must die at the column being placed, so that
+            # column is the residual scaled to a unit pivot.
+            r = max(i for i in range(n) if forced[i])
+            inv = pow(forced[r], -1, p)
+            pos = unused.index(r)
+            children = [(pos, r, tuple(forced[i] * inv % p
+                                       for i in unused[:pos]))]
+        for pos, r, vals in children:
+            free = unused[:pos]
+            col = [0] * n
+            col[r] = 1
+            local = 0
+            for i, v in zip(free, vals):
+                col[i] = v
+                local = local * p + v
+            nxt = []
+            for j, res in alive:
+                y = res[r]
+                if y:
+                    res = [(a - y * b) % p for a, b in zip(res, col)]
+                    if not any(res):
+                        prof[j] = depth
+                        continue
+                if bound[j] <= depth:
+                    break
+                nxt.append((j, res))
+            else:
+                img = list(xcols[r])
+                for i, v in zip(free, vals):
+                    if v:
+                        img = [(a + v * b) % p for a, b in zip(img, xcols[i])]
+                w[d] = r
+                cols[d] = col
+                m, res = reduce_new(img, d)
+                if m is not None:
+                    prof[d] = m
+                elif bound[d] <= depth:
+                    continue
+                else:
+                    nxt.append((d, res))
+                place(d + 1, unused[:pos] + unused[pos + 1:],
+                      rank * p ** pos + local, nxt)
+
+    place(0, list(range(n)), 0, [])
+    return groups
 
 
-def _forbidden(s: HessShape):
-    """0-based forbidden (row, col) positions of a shape's mask."""
-    return [(i, j) for j in range(s.n) for i in range(s.t[j], s.n)]
-
-
-def variety_bitmaps(x: Matrix, shapes, n: int, p: int, workers: int = 1,
+def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
-    """Membership bitmaps for several shapes sharing one operator; the
-    adjoint image g^{-1} X g is computed once per flag. Work is split into
-    `workers` contiguous flag ranges and merged in range order, so the
-    result is independent of the worker count."""
+    """Membership bitmaps for several shapes sharing one operator, from one
+    profile search pruned by the componentwise maximum of the shapes. Each
+    bitmap is the union of the profile groups lying below its shape."""
     check_guards(n, p, override)
     if x.p != p or x.nrows != n:
         raise ValueError("operator size or modulus mismatch")
-    table = _flag_table(n, p, override)
-    masks = [_forbidden(s) for s in shapes]
-    total = len(table)
-    workers = max(1, min(int(workers), total))
-    bits = [0] * len(shapes)
-    bounds = [total * w // workers for w in range(workers + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        for idx in range(lo, hi):
-            rep, inv = table[idx]
-            y = (inv * x * rep).rows
-            bit = 1 << idx
-            for si, mask in enumerate(masks):
-                if all(y[i][j] == 0 for i, j in mask):
-                    bits[si] |= bit
+    if any(s.n != n for s in shapes):
+        raise ValueError("shape rank != operator rank")
+    if not shapes:
+        return []
     size = q_factorial(n, p)
-    return [FlagSet(n, p, size, b) for b in bits]
+    bound = [max(col) for col in zip(*(s.t for s in shapes))]
+    groups = [(prof, bits_from_indices(idx, size))
+              for prof, idx in _profile_groups(x, n, p, bound).items()]
+    out = []
+    for s in shapes:
+        bits = 0
+        for prof, g in groups:
+            if all(m <= t for m, t in zip(prof, s.t)):
+                bits |= g
+        out.append(FlagSet(n, p, size, bits))
+    return out
 
 
-def compute_variety(x: OperatorSpec, s: HessShape, p: int, workers: int = 1,
+def compute_variety(x: OperatorSpec, s: HessShape, p: int,
                     override: bool = False) -> Variety:
     if x.n != s.n:
         raise ValueError("operator rank != shape rank")
-    points = variety_bitmaps(x.matrix(p), [s], s.n, p, workers, override)[0]
+    points = variety_bitmaps(x.matrix(p), [s], s.n, p, override)[0]
     return Variety(x, s, p, points)
 
 
@@ -177,15 +280,15 @@ class PosetPX:
     hasse: tuple    # (sub_name, super_name) covering edges
 
 
-def build_poset(x: OperatorSpec, primes, strict_only: bool = False,
-                workers: int = 1) -> PosetPX:
+def build_poset(x: OperatorSpec, primes,
+                strict_only: bool = False) -> PosetPX:
     if isinstance(primes, int):
         primes = (primes,)
     primes = tuple(primes)
     if not primes:
         raise ValueError("need at least one prime")
     shapes = enumerate_shapes(x.n, strict_only)
-    per_prime = [variety_bitmaps(x.matrix(p), shapes, x.n, p, workers)
+    per_prime = [variety_bitmaps(x.matrix(p), shapes, x.n, p)
                  for p in primes]
     keys = {}
     for si, s in enumerate(shapes):

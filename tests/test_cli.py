@@ -177,6 +177,19 @@ def test_guard_violation_exit_code(capsys):
     assert code == 2
 
 
+def test_force_overrides_the_size_guard(capsys):
+    argv = ["variety", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2",
+            "--p", "11"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "size guard" in json.loads(err)["error"]
+    doc = run_json(capsys, *argv, "--force")
+    (result,) = doc["results"]
+    assert result["count"] == 12
+    assert len(set(result["points"])) == 12
+    assert result["points"][0] == "[e1,e2]"
+
+
 def test_output_file_option(tmp_path, capsys):
     target = tmp_path / "census.txt"
     code, out, err = run_cli(capsys, "shapes", "--n", "2", "-o", str(target))
@@ -185,11 +198,11 @@ def test_output_file_option(tmp_path, capsys):
     assert len(target.read_text().strip().splitlines()) == 6
 
 
-def test_outputs_are_stable_across_runs_and_workers(capsys):
+def test_outputs_are_stable_across_runs(capsys):
     argv = ["poset", "--n", "3", "--x", "jordan:1^1,0^2", "--p", "2,3"]
     runs = []
-    for workers in ("1", "1", "2", "5"):
-        code = main(argv + ["--workers", workers])
+    for _ in range(2):
+        code = main(argv)
         runs.append(capsys.readouterr().out)
         assert code == 0
     assert len(set(runs)) == 1

@@ -5,7 +5,7 @@ import pytest
 
 from hessalg.field import Matrix, regular_nilpotent, span_of, zero_subspace
 from hessalg.flags import (FlagSet, canonical_form, chain, check_guards,
-                           enumerate_flags, flag_text, free_positions,
+                           enumerate_flags, flag_at, flag_text, free_positions,
                            identity_flag, inversions, iter_flags, member,
                            member_adjoint, permutation_flag, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
@@ -238,3 +238,29 @@ def test_flagset_roundtrip():
     assert fs.count == 3
     assert fs.indices() == [0, 2, 5]
     assert fs.contains(2) and not fs.contains(1)
+
+
+def test_flagset_roundtrip_on_a_sparse_large_bitmap():
+    rng = random.Random(7)
+    size = q_factorial(5, 3)  # 251,680 flags
+    picked = sorted(set(rng.sample(range(size), 2000)) | {0, 7, 8, size - 1})
+    fs = FlagSet.from_indices(reversed(picked), 5, 3)
+    assert fs.size == size
+    assert fs.bits == sum(1 << i for i in picked)
+    assert fs.count == len(picked)
+    assert fs.indices() == picked
+    assert FlagSet.from_indices([], 5, 3).indices() == []
+    with pytest.raises(ValueError):
+        FlagSet.from_indices([size], 5, 3)
+    with pytest.raises(ValueError):
+        FlagSet.from_indices([-1], 5, 3)
+
+
+def test_flag_at_inverts_the_enumeration_order():
+    for n, p in [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        for f in iter_flags(n, p):
+            assert flag_at(f.index, n, p) == f
+    with pytest.raises(ValueError):
+        flag_at(q_factorial(3, 2), 3, 2)
+    with pytest.raises(ValueError):
+        flag_at(-1, 3, 2)

@@ -1,0 +1,108 @@
+"""Property tests of the membership kernel (variety_bitmaps) against
+oracles that do not share its code: the flag-chain test `member`, and the
+closed-form point counts of regular nilpotent Hessenberg varieties."""
+
+from math import comb
+
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from hessalg.field import regular_nilpotent
+from hessalg.flags import flag_at, iter_flags, member
+from hessalg.shapes import enumerate_shapes, peterson_shape
+from hessalg.varieties import jordan_operator, matrix_operator, variety_bitmaps
+
+SLOW = settings(deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _nilpotent_count(s, q):
+    """#Hess(N, h)(F_q) = prod_j [h(j) - j + 1]_q for regular nilpotent N
+    and a strict shape h."""
+    count = 1
+    for j, h in enumerate(s.t, start=1):
+        count *= sum(q ** i for i in range(h - j + 1))
+    return count
+
+
+@st.composite
+def operators(draw, n):
+    """Random integer matrices (reduced mod p later) and Jordan operators
+    with integer and symbolic eigenvalues."""
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(-12, 12), min_size=n * n,
+                                max_size=n * n))
+        return matrix_operator([entries[i * n:(i + 1) * n]
+                                for i in range(n)])
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    eigen = st.one_of(st.integers(-3, 3), st.sampled_from("ab"))
+    return jordan_operator([(draw(eigen), size) for size in sizes])
+
+
+def _draw_matrix(data, n, p):
+    op = data.draw(operators(n))
+    try:
+        return op.matrix(p)
+    except ValueError:  # more symbols than free residues mod p
+        assume(False)
+
+
+def _oracle_bits(x, s, flags):
+    return sum(1 << f.index for f in flags if member(x, s, f))
+
+
+@settings(SLOW, max_examples=40)
+@given(st.data(), st.integers(1, 3), st.sampled_from([2, 3]))
+def test_bitmaps_equal_chain_oracle_on_all_shapes(data, n, p):
+    x = _draw_matrix(data, n, p)
+    shapes = enumerate_shapes(n)
+    assert len(shapes) == comb(2 * n, n)
+    flags = list(iter_flags(n, p))
+    expected = [_oracle_bits(x, s, flags) for s in shapes]
+    # All shapes in one unpruned pass, then each shape on its own, where
+    # the search prunes hardest.
+    assert [b.bits for b in variety_bitmaps(x, shapes, n, p)] == expected
+    assert [variety_bitmaps(x, [s], n, p)[0].bits for s in shapes] == \
+        expected
+
+
+@settings(SLOW, max_examples=12)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_bitmaps_equal_chain_oracle_at_rank_four(data, p):
+    n = 4
+    x = _draw_matrix(data, n, p)
+    shapes = enumerate_shapes(n)
+    every = variety_bitmaps(x, shapes, n, p)
+    # A few shapes, strict or not, checked against the oracle on every
+    # flag; the search is pruned by their componentwise maximum.
+    picked = data.draw(st.lists(st.sampled_from(shapes), min_size=1,
+                                max_size=2, unique=True))
+    flags = list(iter_flags(n, p))
+    got = variety_bitmaps(x, picked, n, p)
+    assert [b.bits for b in got] == [_oracle_bits(x, s, flags)
+                                     for s in picked]
+    # All C(8, 4) = 70 shapes, checked on sampled flags.
+    for index in data.draw(st.lists(st.integers(0, len(flags) - 1),
+                                    min_size=1, max_size=8)):
+        f = flag_at(index, n, p)
+        assert [b.contains(index) for b in every] == \
+            [member(x, s, f) for s in shapes]
+
+
+# Strict shapes at n = 6 with at most 20,000 points: one search costs up
+# to 2.5 s there, against 9 s for the unpruned full shape, whose kernel
+# path the rank-four checks above already cover.
+STRICT_6 = [s for s in enumerate_shapes(6, strict_only=True)
+            if _nilpotent_count(s, 2) <= 20000]
+
+
+@settings(SLOW, max_examples=12)
+@given(st.sampled_from(STRICT_6))
+@example(peterson_shape(6))
+def test_regular_nilpotent_counts_at_rank_six(s):
+    # 615,195 flags at (n, p) = (6, 2).
+    (v,) = variety_bitmaps(regular_nilpotent(6, 2), [s], 6, 2)
+    assert v.size == 615195
+    assert v.count == _nilpotent_count(s, 2)

@@ -39,6 +39,27 @@ def test_symbolic_eigenvalues_need_enough_residues():
     assert op.jordan(3) is not None
 
 
+def test_symbols_skip_the_integer_eigenvalues():
+    op = jordan_operator([("a", 1), (2, 1)])
+    assert op.jordan(3).blocks == ((2, 1), (1, 1))
+    assert op.jordan(5).blocks == ((4, 1), (2, 1))
+    assert not op.is_scalar(3)
+    assert not op.is_scalar(5)
+    # -1 is p - 1, so the symbols step past it.
+    op = jordan_operator([("a", 1), ("b", 1), (-1, 1)])
+    assert op.jordan(5).blocks == ((4, 1), (3, 1), (2, 1))
+    with pytest.raises(ValueError):
+        jordan_operator([("a", 1), (0, 1), (1, 1)]).jordan(2)
+
+
+def test_all_symbol_operators_resolve_as_before():
+    op = jordan_operator([("a", 1), ("b", 1), ("c", 1)])
+    for p in (3, 5, 7):
+        assert op.jordan(p).blocks == ((p - 1, 1), (p - 2, 1), (p - 3, 1))
+    op = jordan_operator([("c", 2), ("a", 1), ("b", 2)])
+    assert op.jordan(5).blocks == ((4, 1), (3, 2), (2, 2))
+
+
 def test_matrix_operator_and_scalar_detection():
     op = matrix_operator([[2, 0], [0, 2]])
     assert op.is_scalar(3)
@@ -103,14 +124,14 @@ def test_guard_and_override():
     assert v.points.count == 1
 
 
-def test_bitmaps_are_worker_count_independent():
+def test_bitmaps_are_stable_across_runs_and_shape_lists():
     op = jordan_operator([(0, 4)])
     shapes = [peterson_shape(4), borel_shape(4), full_shape(4)]
     x = op.matrix(2)
-    base = [b.bits for b in variety_bitmaps(x, shapes, 4, 2, workers=1)]
-    for workers in (2, 3, 7, 400):
-        got = [b.bits for b in variety_bitmaps(x, shapes, 4, 2, workers=workers)]
-        assert got == base
+    base = [b.bits for b in variety_bitmaps(x, shapes, 4, 2)]
+    assert [b.bits for b in variety_bitmaps(x, shapes, 4, 2)] == base
+    # One shape at a time prunes harder; the bitmaps must not change.
+    assert [variety_bitmaps(x, [s], 4, 2)[0].bits for s in shapes] == base
 
 
 # --- comparison ------------------------------------------------------------------
