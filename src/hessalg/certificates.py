@@ -11,11 +11,13 @@ a returned witness is always a checked certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import (JordanSpec, Matrix, antitranspose, image_subspace,
-                    jordan_matrix, regular_nilpotent, similarity_transform,
-                    subspace_le, span_of, w0_matrix)
-from .flags import Flag, canonical_form, chain, flag_at, member
+                    inverse_rows, jordan_matrix, regular_nilpotent,
+                    similarity_transform, subspace_le, span_of)
+from .flags import (Flag, _rep_rows, canonical_columns, canonical_form, chain,
+                    flag_at, flag_cell, flag_text, member, profile)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
@@ -66,6 +68,12 @@ def witness_flag(spec: JordanSpec, i: int, j: int) -> Matrix:
     X = jordan_matrix(spec). Entries are 0/1 (one column may be a sum of
     two basis vectors in the diagonalizable case), so the same matrix
     certifies over any field containing the eigenvalues."""
+    return _witness(spec, i, j)[0]
+
+
+def _witness(spec: JordanSpec, i: int, j: int):
+    """(matrix, its flag, lemma checks) of the witness for (X, i, j); the
+    checks are evaluated once and must all hold."""
     n = spec.n
     if spec.is_scalar():
         raise ValueError("no witness exists for a scalar operator")
@@ -132,10 +140,27 @@ def witness_flag(spec: JordanSpec, i: int, j: int) -> Matrix:
             else:
                 cols.append(basis_vec(k))
     a = Matrix.from_columns(cols, spec.p)
-    _, verdict = check_lemma(jordan_matrix(spec), a, i, j)
+    f = canonical_form(a)
+    checks, verdict = check_lemma(jordan_matrix(spec), f, i, j)
     if not verdict:
         raise RuntimeError("witness construction failed its own checks")
-    return a
+    return a, f, checks
+
+
+@lru_cache(maxsize=None)
+def _strict_shapes(n: int):
+    """(shape_text, shape) for every strict shape of rank n, in
+    enumerate_shapes order."""
+    return tuple((shape_text(s), s)
+                 for s in enumerate_shapes(n, strict_only=True))
+
+
+def strict_memberships(x: Matrix, f: Flag) -> dict:
+    """shape_text -> membership of f in Hess(X, s), over every strict shape
+    s, read from the profile of f."""
+    m = profile(x, f)
+    return {text: all(a <= b for a, b in zip(m, s.t))
+            for text, s in _strict_shapes(f.n)}
 
 
 @dataclass(frozen=True)
@@ -166,15 +191,18 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
     i, j = pair
-    a = witness_flag(spec, i, j)
+    _, f, checks = _witness(spec, i, j)
     x = jordan_matrix(spec)
-    checks, verdict = check_lemma(x, a, i, j)
-    f = canonical_form(a)
-    memberships = {shape_text(s): member(x, s, f)
-                   for s in enumerate_shapes(n, strict_only=True)}
+    memberships = strict_memberships(x, f)
+    # The chain oracle re-checks the two memberships the certificate rests on.
+    for s in (s1, s2):
+        if member(x, s, f) != memberships[shape_text(s)]:
+            raise RuntimeError(
+                "profile and chain membership disagree on %s at flag %s"
+                % (shape_text(s), flag_text(f)))
     in1 = memberships[shape_text(s1)]
     in2 = memberships[shape_text(s2)]
-    if not verdict or in1 == in2:
+    if in1 == in2:
         raise RuntimeError("witness does not separate the varieties")
     return WitnessCertificate(spec, pair, f, checks, memberships, in1, in2)
 
@@ -185,8 +213,16 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
 
 def involution_image(f: Flag) -> Flag:
     """gB -> w0 (g^T)^{-1} w0 B; an involution on the flag set."""
-    w0 = w0_matrix(f.n, f.p)
-    return canonical_form(w0 * f.rep.transpose().inverse() * w0)
+    cols = _involution_columns(f.index, f.n, f.p)
+    return flag_at(canonical_columns(cols, f.p)[2], f.n, f.p)
+
+
+def _involution_columns(index: int, n: int, p: int):
+    """Columns of w0 (g^T)^{-1} w0 for the canonical representative g of
+    the flag at an index. Its entry (i, j) is entry (n-1-j, n-1-i) of
+    g^{-1}, so column j is row n-1-j of g^{-1} reversed."""
+    inv = inverse_rows(_rep_rows(*flag_cell(index, n, p)), p)
+    return [inv[n - 1 - j][::-1] for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -208,12 +244,17 @@ def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport
     s_t = transpose_shape(s)
     v1, v3 = variety_bitmaps(xm, [s, s_t], n, p)
     v2 = variety_bitmaps(ym, [s_t], n, p)[0]
-    images = [involution_image(flag_at(idx, n, p)) for idx in v1.indices()]
-    inter_ok = {g.index for g in images} == set(v2.indices())
+    images = [_involution_columns(idx, n, p) for idx in v1.indices()]
+    inter_ok = ({canonical_columns(g, p)[2] for g in images}
+                == set(v2.indices()))
     pmat = similarity_transform(ym, xm)
     if pmat is None:
         raise RuntimeError("X and w0 X^T w0 must be similar")
-    composed = {canonical_form(pmat * g.rep).index for g in images}
+    # P g and P times the canonical representative of g span the same flag.
+    prows = pmat.rows
+    composed = {canonical_columns(
+        [[sum(a * b for a, b in zip(r, c)) % p for r in prows] for c in g],
+        p)[2] for g in images}
     comp_ok = composed == set(v3.indices())
     counts_ok = v1.count == v3.count
     return InvolutionReport(s, s_t, p, v1.count, v3.count, inter_ok, comp_ok,

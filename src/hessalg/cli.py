@@ -189,10 +189,7 @@ def cmd_witness(args) -> int:
     a = certificates.witness_flag(spec, args.i, args.j)
     x = jordan_matrix(spec)
     checks, verdict = certificates.check_lemma(x, a, args.i, args.j)
-    f = canonical_form(a)
-    from .flags import member
-    memberships = {shape_text(s): member(x, s, f)
-                   for s in enumerate_shapes(args.n, strict_only=True)}
+    memberships = certificates.strict_memberships(x, canonical_form(a))
     _emit(args, json.dumps({
         "schema": SCHEMA, "command": "witness", "operator": op.name,
         "p": p, "pair": [args.i, args.j],

@@ -153,24 +153,30 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        n = self.nrows
-        p = self.p
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        row = 0
-        for col in range(n):
-            piv = next((i for i in range(row, n) if aug[i][col]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = inv_mod(aug[row][col], p)
-            aug[row] = [x * inv % p for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col]:
-                    c = aug[i][col]
-                    aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[row])]
-            row += 1
-        return Matrix(p, tuple(tuple(r[n:]) for r in aug))
+        return Matrix(self.p, tuple(map(tuple,
+                                        inverse_rows(self.rows, self.p))))
+
+
+def inverse_rows(rows, p: int):
+    """Inverse of a square matrix over F_p given as a list of rows; returns
+    a list of row lists. Raises ValueError if the matrix is singular."""
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)]
+           for i, r in enumerate(rows)]
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, n) if aug[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = inv_mod(aug[row][col], p)
+        aug[row] = [x * inv % p for x in aug[row]]
+        for i in range(n):
+            if i != row and aug[i][col]:
+                c = aug[i][col]
+                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[row])]
+        row += 1
+    return [r[n:] for r in aug]
 
 
 def antitranspose(m: Matrix) -> Matrix:

@@ -19,12 +19,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import (Matrix, Subspace, canonicalize_span, conjugate, inv_mod,
-                    span_of, zero_subspace)
+from .field import Matrix, Subspace, inv_mod, span_of, zero_subspace
 from .shapes import HessShape
 
 GUARD_MAX_N = 6
 GUARD_PRIMES = (2, 3, 5, 7)
+# Largest flag count [n]_p! admitted without override: (6, 3) has 91.6M
+# flags, (5, 7) has 510M.
+GUARD_MAX_FLAGS = 10 ** 8
 
 
 def check_guards(n: int, p: int, override: bool = False) -> None:
@@ -34,6 +36,11 @@ def check_guards(n: int, p: int, override: bool = False) -> None:
         raise ValueError(
             "size guard: need n <= %d and p in %r (got n=%d, p=%d); "
             "pass override to force" % (GUARD_MAX_N, GUARD_PRIMES, n, p))
+    size = q_factorial(n, p)
+    if size > GUARD_MAX_FLAGS:
+        raise ValueError(
+            "size guard: n=%d, p=%d has %d flags, more than %d; "
+            "pass override to force" % (n, p, size, GUARD_MAX_FLAGS))
 
 
 def q_factorial(n: int, q: int) -> int:
@@ -50,6 +57,11 @@ def inversions(w) -> int:
 def free_positions(w):
     """Free entry positions (row, col), 1-based, in scan order: columns left
     to right, rows top to bottom."""
+    return list(_free_positions(tuple(w)))
+
+
+@lru_cache(maxsize=None)
+def _free_positions(w: tuple) -> tuple:
     seen = set()
     out = []
     for k, wk in enumerate(w, start=1):
@@ -57,7 +69,7 @@ def free_positions(w):
             if i not in seen:
                 out.append((i, k))
         seen.add(wk)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -132,14 +144,20 @@ def _cell_starts(n: int, p: int):
     return tuple(offsets.values()), tuple(offsets)
 
 
-def _build_rep(w, values, p: int) -> Matrix:
+def _rep_rows(w, values):
+    """Rows of the canonical representative of cell w with the given free
+    values, as lists."""
     n = len(w)
     rows = [[0] * n for _ in range(n)]
-    for k, wk in enumerate(w, start=1):
-        rows[wk - 1][k - 1] = 1
-    for (i, k), v in zip(free_positions(w), values):
+    for k, wk in enumerate(w):
+        rows[wk - 1][k] = 1
+    for (i, k), v in zip(_free_positions(tuple(w)), values):
         rows[i - 1][k - 1] = v
-    return Matrix.from_rows(rows, p)
+    return rows
+
+
+def _build_rep(w, values, p: int) -> Matrix:
+    return Matrix.from_rows(_rep_rows(w, values), p)
 
 
 def iter_flags(n: int, p: int, override: bool = False):
@@ -162,11 +180,16 @@ def canonical_form(g: Matrix) -> Flag:
     prefix column span."""
     if g.nrows != g.ncols:
         raise ValueError("not square")
-    n = g.nrows
-    p = g.p
-    cols = [list(c) for c in g.columns()]
+    w, values, index = canonical_columns(g.columns(), g.p)
+    return Flag(g.nrows, g.p, _build_rep(w, values, g.p), w, index)
+
+
+def canonical_columns(cols, p: int):
+    """(cell, free values, index) of the flag spanned by the columns of an
+    invertible n x n matrix, given as n column vectors over F_p."""
+    n = len(cols)
+    cols = [list(c) for c in cols]
     pivots = []  # (0-based pivot row, column index)
-    values = []
     w = [0] * n
     for k in range(n):
         v = cols[k]
@@ -178,15 +201,12 @@ def canonical_form(g: Matrix) -> Flag:
         if piv is None:
             raise ValueError("matrix is singular")
         inv = inv_mod(v[piv], p)
-        v = [x * inv % p for x in v]
-        cols[k] = v
+        cols[k] = [x * inv % p for x in v]
         pivots.append((piv, k))
         w[k] = piv + 1
     w = tuple(w)
-    for (i, k) in free_positions(w):
-        values.append(cols[k - 1][i - 1])
-    rep = _build_rep(w, values, p)
-    return Flag(n, p, rep, w, _flag_index(w, values, n, p))
+    values = [cols[k - 1][i - 1] for (i, k) in _free_positions(w)]
+    return w, values, _flag_index(w, values, n, p)
 
 
 def _flag_index(w, values, n: int, p: int) -> int:
@@ -196,9 +216,9 @@ def _flag_index(w, values, n: int, p: int) -> int:
     return _cell_offsets(n, p)[tuple(w)] + rank
 
 
-def flag_at(index: int, n: int, p: int) -> Flag:
-    """The flag at a position of the enumeration order; inverse of the
-    index that iter_flags and canonical_form assign."""
+def flag_cell(index: int, n: int, p: int):
+    """(cell, free values) of the flag at a position of the enumeration
+    order; inverse of the index that canonical_columns assigns."""
     if not 0 <= index < q_factorial(n, p):
         raise ValueError("flag index %d out of range" % index)
     starts, cells = _cell_starts(n, p)
@@ -208,6 +228,13 @@ def flag_at(index: int, n: int, p: int) -> Flag:
     values = [0] * inversions(w)
     for k in range(len(values) - 1, -1, -1):
         rank, values[k] = divmod(rank, p)
+    return w, values
+
+
+def flag_at(index: int, n: int, p: int) -> Flag:
+    """The flag at a position of the enumeration order; inverse of the
+    index that iter_flags and canonical_form assign."""
+    w, values = flag_cell(index, n, p)
     return Flag(n, p, _build_rep(w, values, p), w, index)
 
 
@@ -240,15 +267,37 @@ def member(x: Matrix, s: HessShape, f: Flag) -> bool:
     return True
 
 
-def member_adjoint(x: Matrix, s: HessShape, f: Flag) -> bool:
-    """Adjoint membership test: g^{-1} X g vanishes at every forbidden mask
-    entry. Equivalent to member()."""
+def profile(x: Matrix, f: Flag) -> tuple:
+    """The profile (m_1, ..., m_n) of f under X: m_j is the lowest nonzero
+    row of column j of g^{-1} X g (0 for a zero column), i.e. the least m
+    with X c_j in F_m. f lies in Hess(X, t) iff m <= t componentwise.
+
+    Reducing X c_j against the columns of the canonical representative in
+    order is exact: column k vanishes on the pivot rows of earlier columns,
+    so the entry of the residual at the pivot row of column k is its
+    coordinate on c_k."""
     if x.p != f.p or x.nrows != f.n:
         raise ValueError("size or modulus mismatch")
-    y = conjugate(x, f.rep)
-    return all(y.entry(i, j) == 0
-               for j in range(1, f.n + 1)
-               for i in range(s.t[j - 1] + 1, f.n + 1))
+    p = f.p
+    cols = list(zip(*f.rep.rows))
+    pivots = [wk - 1 for wk in f.cell]
+    out = []
+    for c in cols:
+        v = [sum(a * b for a, b in zip(row, c)) % p for row in x.rows]
+        m = 0
+        while any(v):
+            y = v[pivots[m]]
+            if y:
+                v = [(a - y * b) % p for a, b in zip(v, cols[m])]
+            m += 1
+        out.append(m)
+    return tuple(out)
+
+
+def member_adjoint(x: Matrix, s: HessShape, f: Flag) -> bool:
+    """Profile membership test: g^{-1} X g vanishes at every forbidden mask
+    entry. Equivalent to member()."""
+    return all(m <= t for m, t in zip(profile(x, f), s.t))
 
 
 def flag_text(f: Flag) -> str:
@@ -256,7 +305,7 @@ def flag_text(f: Flag) -> str:
     assignments, e.g. '[e2,e1] {r1c1=1}'."""
     base = "[" + ",".join("e%d" % wk for wk in f.cell) + "]"
     parts = []
-    for (i, k) in free_positions(f.cell):
+    for (i, k) in _free_positions(f.cell):
         v = f.rep.entry(i, k)
         if v:
             parts.append("r%dc%d=%d" % (i, k, v))

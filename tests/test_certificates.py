@@ -1,9 +1,15 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hessalg import certificates
 from hessalg.field import (Matrix, jordan_matrix, jordan_spec,
-                           regular_nilpotent)
-from hessalg.flags import (canonical_form, enumerate_flags, identity_flag,
-                           iter_flags, permutation_flag)
+                           regular_nilpotent, w0_matrix)
+from hessalg.flags import (canonical_form, enumerate_flags, flag_at,
+                           flag_text, identity_flag, iter_flags, member,
+                           permutation_flag, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function, shape_text)
 from hessalg.varieties import jordan_operator
@@ -112,6 +118,49 @@ def test_certify_distinct_example():
         assert cert.memberships[shape_text(s)] == (s.t[i - 1] >= j)
 
 
+STRICT_5 = enumerate_shapes(5, strict_only=True)
+
+
+@st.composite
+def non_scalar_specs(draw, n, p):
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    blocks = [(draw(st.integers(0, p - 1)), size) for size in sizes]
+    spec = jordan_spec(blocks, p)
+    if spec.is_scalar():
+        spec = jordan_spec([(1, 1), (0, n - 1)], p)
+    return spec
+
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.sampled_from([2, 3]))
+def test_witness_memberships_equal_the_chain_oracle_at_rank_five(data, p):
+    spec = data.draw(non_scalar_specs(5, p))
+    s1, s2 = data.draw(st.lists(st.sampled_from(STRICT_5), min_size=2,
+                                max_size=2, unique=True))
+    cert = certify_distinct(spec, s1, s2)
+    x = jordan_matrix(spec)
+    assert list(cert.memberships) == [shape_text(s) for s in STRICT_5]
+    assert cert.memberships == {shape_text(s): member(x, s, cert.flag)
+                                for s in STRICT_5}
+    assert cert.in_first != cert.in_second
+
+
+def test_profile_and_chain_disagreement_is_an_error(monkeypatch):
+    spec = jordan_spec([(0, 3)], 2)
+    s1, s2 = borel_shape(3), shape_from_function([2, 3, 3])
+    cert = certify_distinct(spec, s1, s2)
+    real = certificates.member
+    monkeypatch.setattr(certificates, "member",
+                        lambda x, s, f: not real(x, s, f))
+    with pytest.raises(RuntimeError) as err:
+        certify_distinct(spec, s1, s2)
+    assert shape_text(s1) in str(err.value)
+    assert flag_text(cert.flag) in str(err.value)
+
+
 def test_certify_distinct_validates_input():
     spec = jordan_spec([(0, 3)], 2)
     b = borel_shape(3)
@@ -141,6 +190,22 @@ def test_involution_is_an_involution_on_all_flags():
         assert involution_image(involution_image(f)) == f
     images = {involution_image(f).index for f in iter_flags(3, 3)}
     assert len(images) == len(enumerate_flags(3, 3))
+
+
+def test_involution_on_indices_equals_the_matrix_route():
+    def matrix_route(f):
+        w0 = w0_matrix(f.n, f.p)
+        return canonical_form(w0 * f.rep.transpose().inverse() * w0).index
+
+    for n, p in [(3, 3), (4, 2)]:
+        for f in iter_flags(n, p):
+            assert involution_image(f).index == matrix_route(f)
+    rng = random.Random(11)
+    for index in rng.sample(range(q_factorial(5, 2)), 300):
+        f = flag_at(index, 5, 2)
+        image = involution_image(f)
+        assert image.index == matrix_route(f)
+        assert image == flag_at(image.index, 5, 2)
 
 
 def test_verify_involution_swaps_the_two_point_varieties():

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from hessalg.field import Matrix, regular_nilpotent, span_of, zero_subspace
-from hessalg.flags import (FlagSet, canonical_form, chain, check_guards,
-                           enumerate_flags, flag_at, flag_text, free_positions,
-                           identity_flag, inversions, iter_flags, member,
-                           member_adjoint, permutation_flag, q_factorial)
+from hessalg.field import (Matrix, conjugate, regular_nilpotent, span_of,
+                           zero_subspace)
+from hessalg.flags import (FlagSet, canonical_columns, canonical_form, chain,
+                           check_guards, enumerate_flags, flag_at, flag_cell,
+                           flag_text, free_positions, identity_flag,
+                           inversions, iter_flags, member, member_adjoint,
+                           permutation_flag, profile, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function)
 
@@ -75,7 +77,15 @@ def test_guards():
     with pytest.raises(ValueError):
         check_guards(3, 11)
     check_guards(7, 2, override=True)
-    check_guards(6, 7)
+    # The flag count is guarded too: [6]_7! is about 1.0e13 flags.
+    with pytest.raises(ValueError):
+        check_guards(6, 7)
+    check_guards(6, 7, override=True)
+    for n, p in [(5, 7), (6, 5)]:
+        with pytest.raises(ValueError):
+            check_guards(n, p)
+    check_guards(6, 3)  # 91,611,520 flags
+    check_guards(5, 5)
 
 
 # --- canonical form --------------------------------------------------------------
@@ -100,6 +110,29 @@ def test_upper_triangular_matrices_give_the_identity_flag():
                  for j in range(3)] for i in range(3)]
         f = canonical_form(Matrix.from_rows(rows, p))
         assert f == identity_flag(3, p)
+
+
+def test_canonical_columns_on_random_invertible_matrices():
+    rng = random.Random(13)
+    for n, p in [(3, 2), (4, 3), (5, 2), (5, 5)]:
+        for _ in range(60):
+            g = Matrix.from_rows([[rng.randrange(p) for _ in range(n)]
+                                  for _ in range(n)], p)
+            if not g.is_invertible():
+                continue
+            w, values, index = canonical_columns(g.columns(), p)
+            assert index == canonical_form(g).index
+            assert flag_cell(index, n, p) == (w, values)
+            # The index names the flag of g: every prefix span agrees.
+            f = flag_at(index, n, p)
+            cols = g.columns()
+            for k in range(1, n + 1):
+                assert chain(f, k) == span_of(cols[:k], n, p)
+
+
+def test_canonical_columns_rejects_singular_matrices():
+    with pytest.raises(ValueError):
+        canonical_columns([(1, 0), (1, 0)], 2)
 
 
 def test_coset_invariance_under_random_borel():
@@ -200,6 +233,20 @@ def test_member_equals_adjoint_exhaustively():
             for x in xs:
                 for s in shapes:
                     assert member(x, s, f) == member_adjoint(x, s, f)
+
+
+def test_profile_is_the_lowest_nonzero_row_of_the_conjugate():
+    for n, p in [(3, 3), (4, 2)]:
+        xs = [regular_nilpotent(n, p),
+              Matrix.from_rows([[(i * j + i + 1) % p for j in range(n)]
+                                for i in range(n)], p)]
+        for f in iter_flags(n, p):
+            for x in xs:
+                y = conjugate(x, f.rep)
+                expect = tuple(max((i for i in range(1, n + 1)
+                                    if y.entry(i, j)), default=0)
+                               for j in range(1, n + 1))
+                assert profile(x, f) == expect
 
 
 def test_membership_is_monotone_in_the_shape():
