@@ -16,9 +16,9 @@ from .shapes import (HessShape, YoungDiagram, borel_shape, diagram_text,
                      peterson_shape, shape_from_diagram, shape_from_function,
                      shape_hasse, shape_le, shape_text, shape_to_diagram,
                      negative_root_set, split_shape, transpose_shape)
-from .flags import (Flag, FlagSet, canonical_form, chain, enumerate_flags,
-                    flag_text, identity_flag, iter_flags, member,
-                    member_adjoint, permutation_flag, q_factorial)
+from .flags import (Flag, FlagSet, canonical_form, chain, flag_text,
+                    identity_flag, iter_flags, member, member_adjoint,
+                    permutation_flag, q_factorial)
 from .varieties import (OperatorSpec, PosetPX, Variety, build_poset, compare,
                         compute_variety, interpolate, jordan_operator,
                         matrix_operator, point_counts, poly_text,

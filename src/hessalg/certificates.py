@@ -15,9 +15,10 @@ from functools import lru_cache
 
 from .field import (JordanSpec, Matrix, antitranspose, image_subspace,
                     inverse_rows, jordan_matrix, regular_nilpotent,
-                    similarity_transform, subspace_le, span_of)
-from .flags import (Flag, _rep_rows, canonical_columns, canonical_form, chain,
-                    flag_at, flag_cell, flag_text, member, profile)
+                    similarity_transform, subspace_le)
+from .flags import (Flag, _flag_index, _rep_rows, canonical_columns,
+                    canonical_form, chain, flag_at, flag_cell, flag_text,
+                    inversions, member, profile)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
@@ -68,12 +69,12 @@ def witness_flag(spec: JordanSpec, i: int, j: int) -> Matrix:
     X = jordan_matrix(spec). Entries are 0/1 (one column may be a sum of
     two basis vectors in the diagonalizable case), so the same matrix
     certifies over any field containing the eigenvalues."""
-    return _witness(spec, i, j)[0]
+    return build_witness(spec, i, j)[0]
 
 
-def _witness(spec: JordanSpec, i: int, j: int):
+def build_witness(spec: JordanSpec, i: int, j: int):
     """(matrix, its flag, lemma checks) of the witness for (X, i, j); the
-    checks are evaluated once and must all hold."""
+    checks are evaluated once and must all hold, else RuntimeError."""
     n = spec.n
     if spec.is_scalar():
         raise ValueError("no witness exists for a scalar operator")
@@ -191,7 +192,7 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
     i, j = pair
-    _, f, checks = _witness(spec, i, j)
+    _, f, checks = build_witness(spec, i, j)
     x = jordan_matrix(spec)
     memberships = strict_memberships(x, f)
     # The chain oracle re-checks the two memberships the certificate rests on.
@@ -265,32 +266,35 @@ def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport
 # Product decomposition of regular nilpotent varieties.
 # ---------------------------------------------------------------------------
 
+def _cell_flag(cell: tuple, values: tuple, p: int) -> Flag:
+    n = len(cell)
+    return Flag(n, p, cell, values, _flag_index(cell, values, n, p))
+
+
 def product_flag(f1: Flag, f2: Flag) -> Flag:
-    """Block-diagonal combination of a flag on [j] and a flag on [n-j]."""
+    """Block-diagonal combination of a flag on [j] and a flag on [n-j]. The
+    block diagonal of two canonical representatives is canonical: rows
+    1..j are pivot rows of the first block, so no free entry lies right of
+    column j, and the free values are those of f1, then those of f2."""
     if f1.p != f2.p:
         raise ValueError("modulus mismatch")
-    n = f1.n + f2.n
-    rows = []
-    for r in f1.rep.rows:
-        rows.append(list(r) + [0] * f2.n)
-    for r in f2.rep.rows:
-        rows.append([0] * f1.n + list(r))
-    return canonical_form(Matrix.from_rows(rows, f1.p))
+    return _cell_flag(f1.cell + tuple(w + f1.n for w in f2.cell),
+                      f1.values + f2.values, f1.p)
 
 
 def split_flag(f: Flag, j: int):
     """Inverse of product_flag: the second factor is the quotient by
-    span{e_1..e_j}. Requires chain(f, j) = span{e_1..e_j}."""
-    n, p = f.n, f.p
-    if not 1 <= j < n:
+    span{e_1..e_j}. Requires chain(f, j) = span{e_1..e_j}, which holds iff
+    the first j pivots lie in rows 1..j; the representative is then block
+    diagonal."""
+    if not 1 <= j < f.n:
         raise ValueError("split index out of range")
-    coord = span_of([[1 if r == k else 0 for r in range(n)] for k in range(j)],
-                    n, p)
-    if chain(f, j) != coord:
+    top = f.cell[:j]
+    if sorted(top) != list(range(1, j + 1)):
         raise ValueError("F_j is not the span of the first j basis vectors")
-    top = Matrix.from_rows([r[:j] for r in f.rep.rows[:j]], p)
-    bottom = Matrix.from_rows([r[j:] for r in f.rep.rows[j:]], p)
-    return canonical_form(top), canonical_form(bottom)
+    k = inversions(top)
+    return (_cell_flag(top, f.values[:k], f.p),
+            _cell_flag(tuple(w - j for w in f.cell[j:]), f.values[k:], f.p))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .field import Matrix, Subspace, inv_mod, span_of, zero_subspace
 from .shapes import HessShape
@@ -76,9 +76,15 @@ def _free_positions(w: tuple) -> tuple:
 class Flag:
     n: int
     p: int
-    rep: Matrix
-    cell: tuple  # pivot permutation w, 1-based images
-    index: int   # position in the global enumeration order
+    cell: tuple    # pivot permutation w, 1-based images
+    values: tuple  # free entries, in free_positions(cell) order
+    index: int     # position in the global enumeration order
+
+    @cached_property
+    def rep(self) -> Matrix:
+        """The canonical representative, built on first use."""
+        rows = _rep_rows(self.cell, self.values)
+        return Matrix(self.p, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,10 @@ def _cell_offsets(n: int, p: int):
 
 @lru_cache(maxsize=None)
 def _cell_starts(n: int, p: int):
-    """(start indices, cells) in enumeration order, for bisection."""
+    """(start indices, cells) in enumeration order, for bisection, and the
+    flag count."""
     offsets = _cell_offsets(n, p)
-    return tuple(offsets.values()), tuple(offsets)
+    return tuple(offsets.values()), tuple(offsets), q_factorial(n, p)
 
 
 def _rep_rows(w, values):
@@ -156,23 +163,14 @@ def _rep_rows(w, values):
     return rows
 
 
-def _build_rep(w, values, p: int) -> Matrix:
-    return Matrix.from_rows(_rep_rows(w, values), p)
-
-
 def iter_flags(n: int, p: int, override: bool = False):
     """Yield all flags in enumeration order without storing them."""
     check_guards(n, p, override)
     idx = 0
     for w in itertools.permutations(range(1, n + 1)):
-        fp = free_positions(w)
-        for values in itertools.product(range(p), repeat=len(fp)):
-            yield Flag(n, p, _build_rep(w, values, p), w, idx)
+        for values in itertools.product(range(p), repeat=inversions(w)):
+            yield Flag(n, p, w, values, idx)
             idx += 1
-
-
-def enumerate_flags(n: int, p: int, override: bool = False):
-    return list(iter_flags(n, p, override))
 
 
 def canonical_form(g: Matrix) -> Flag:
@@ -180,8 +178,7 @@ def canonical_form(g: Matrix) -> Flag:
     prefix column span."""
     if g.nrows != g.ncols:
         raise ValueError("not square")
-    w, values, index = canonical_columns(g.columns(), g.p)
-    return Flag(g.nrows, g.p, _build_rep(w, values, g.p), w, index)
+    return Flag(g.nrows, g.p, *canonical_columns(g.columns(), g.p))
 
 
 def canonical_columns(cols, p: int):
@@ -205,7 +202,7 @@ def canonical_columns(cols, p: int):
         pivots.append((piv, k))
         w[k] = piv + 1
     w = tuple(w)
-    values = [cols[k - 1][i - 1] for (i, k) in _free_positions(w)]
+    values = tuple(cols[k - 1][i - 1] for (i, k) in _free_positions(w))
     return w, values, _flag_index(w, values, n, p)
 
 
@@ -219,23 +216,22 @@ def _flag_index(w, values, n: int, p: int) -> int:
 def flag_cell(index: int, n: int, p: int):
     """(cell, free values) of the flag at a position of the enumeration
     order; inverse of the index that canonical_columns assigns."""
-    if not 0 <= index < q_factorial(n, p):
+    starts, cells, size = _cell_starts(n, p)
+    if not 0 <= index < size:
         raise ValueError("flag index %d out of range" % index)
-    starts, cells = _cell_starts(n, p)
     c = bisect_right(starts, index) - 1
     w = cells[c]
     rank = index - starts[c]
     values = [0] * inversions(w)
     for k in range(len(values) - 1, -1, -1):
         rank, values[k] = divmod(rank, p)
-    return w, values
+    return w, tuple(values)
 
 
 def flag_at(index: int, n: int, p: int) -> Flag:
     """The flag at a position of the enumeration order; inverse of the
     index that iter_flags and canonical_form assign."""
-    w, values = flag_cell(index, n, p)
-    return Flag(n, p, _build_rep(w, values, p), w, index)
+    return Flag(n, p, *flag_cell(index, n, p), index)
 
 
 def permutation_flag(w, p: int) -> Flag:
@@ -305,8 +301,7 @@ def flag_text(f: Flag) -> str:
     assignments, e.g. '[e2,e1] {r1c1=1}'."""
     base = "[" + ",".join("e%d" % wk for wk in f.cell) + "]"
     parts = []
-    for (i, k) in _free_positions(f.cell):
-        v = f.rep.entry(i, k)
+    for (i, k), v in zip(_free_positions(f.cell), f.values):
         if v:
             parts.append("r%dc%d=%d" % (i, k, v))
     if parts:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from hessalg import certificates
 from hessalg.field import (Matrix, jordan_matrix, jordan_spec,
-                           regular_nilpotent, w0_matrix)
-from hessalg.flags import (canonical_form, enumerate_flags, flag_at,
-                           flag_text, identity_flag, iter_flags, member,
+                           regular_nilpotent, span_of, w0_matrix)
+from hessalg.flags import (canonical_form, chain, flag_at, flag_text,
+                           identity_flag, iter_flags, member,
                            permutation_flag, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function, shape_text)
@@ -189,7 +189,7 @@ def test_involution_is_an_involution_on_all_flags():
     for f in iter_flags(3, 2):
         assert involution_image(involution_image(f)) == f
     images = {involution_image(f).index for f in iter_flags(3, 3)}
-    assert len(images) == len(enumerate_flags(3, 3))
+    assert len(images) == len(list(iter_flags(3, 3)))
 
 
 def test_involution_on_indices_equals_the_matrix_route():
@@ -243,6 +243,30 @@ def test_split_flag_requires_coordinate_prefix():
     f = permutation_flag((2, 3, 1), 2)
     with pytest.raises(ValueError):
         split_flag(f, 2)  # F_2 = span{e2, e3}, not span{e1, e2}
+
+
+def test_product_and_split_equal_the_matrix_route():
+    for n, p in [(4, 2), (3, 3)]:
+        for j in range(1, n):
+            for f1 in iter_flags(j, p):
+                for f2 in iter_flags(n - j, p):
+                    diag = Matrix.from_rows(
+                        [list(r) + [0] * (n - j) for r in f1.rep.rows]
+                        + [[0] * j + list(r) for r in f2.rep.rows], p)
+                    prod = product_flag(f1, f2)
+                    assert prod == canonical_form(diag)
+                    assert prod.rep == diag
+            coord = span_of([[int(r == k) for r in range(n)]
+                             for k in range(j)], n, p)
+            for f in iter_flags(n, p):
+                if chain(f, j) != coord:
+                    with pytest.raises(ValueError):
+                        split_flag(f, j)
+                    continue
+                top = Matrix.from_rows([r[:j] for r in f.rep.rows[:j]], p)
+                bottom = Matrix.from_rows([r[j:] for r in f.rep.rows[j:]], p)
+                assert split_flag(f, j) == (canonical_form(top),
+                                            canonical_form(bottom))
 
 
 def test_decomposition_63_is_21_times_3():

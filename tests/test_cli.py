@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hessalg import certificates
 from hessalg.cli import main, parse_operator, parse_primes
 
 
@@ -143,6 +144,25 @@ def test_witness_diagonalizable_column(capsys):
     doc = run_json(capsys, "witness", "--n", "2", "--x", "jordan:1^1,0^1",
                    "--i", "1", "--j", "2")
     assert doc["flag_columns"] == ["e1+e2", "e1"]
+
+
+def test_witness_evaluates_the_lemma_once(capsys, monkeypatch):
+    argv = ("witness", "--n", "3", "--x", "jordan:0^3", "--i", "1", "--j", "2")
+    calls = []
+    real = certificates.check_lemma
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certificates, "check_lemma", counted)
+    run_json(capsys, *argv)
+    assert len(calls) == 1
+    monkeypatch.setattr(certificates, "check_lemma",
+                        lambda *args: ((True, True, False), False))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "failure" in json.loads(err)
 
 
 # --- involution and decompose ----------------------------------------------------------

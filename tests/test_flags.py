@@ -6,9 +6,9 @@ import pytest
 from hessalg.field import (Matrix, conjugate, regular_nilpotent, span_of,
                            zero_subspace)
 from hessalg.flags import (FlagSet, canonical_columns, canonical_form, chain,
-                           check_guards, enumerate_flags, flag_at, flag_cell,
-                           flag_text, free_positions, identity_flag,
-                           inversions, iter_flags, member, member_adjoint,
+                           check_guards, flag_at, flag_cell, flag_text,
+                           free_positions, identity_flag, inversions,
+                           iter_flags, member, member_adjoint,
                            permutation_flag, profile, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function)
@@ -35,10 +35,10 @@ def count_flag_chains(n, p):
 # --- enumeration ---------------------------------------------------------------
 
 def test_flag_counts_match_q_factorial():
-    assert len(enumerate_flags(2, 2)) == 3
-    assert len(enumerate_flags(3, 2)) == 21
-    assert len(enumerate_flags(4, 2)) == 315
-    assert len(enumerate_flags(3, 3)) == 52
+    assert len(list(iter_flags(2, 2))) == 3
+    assert len(list(iter_flags(3, 2))) == 21
+    assert len(list(iter_flags(4, 2))) == 315
+    assert len(list(iter_flags(3, 3))) == 52
 
 
 def test_flag_counts_match_chain_oracle():
@@ -47,7 +47,7 @@ def test_flag_counts_match_chain_oracle():
 
 
 def test_enumeration_indices_and_distinctness():
-    flags = enumerate_flags(3, 2)
+    flags = list(iter_flags(3, 2))
     assert [f.index for f in flags] == list(range(21))
     assert len({f.rep.rows for f in flags}) == 21
 
@@ -57,7 +57,7 @@ def test_all_reps_are_invertible():
 
 
 def test_cell_sizes_are_p_to_length():
-    flags = enumerate_flags(3, 2)
+    flags = list(iter_flags(3, 2))
     by_cell = {}
     for f in flags:
         by_cell.setdefault(f.cell, []).append(f)
@@ -98,9 +98,11 @@ def test_canonical_form_of_identity():
 
 
 def test_canonical_form_is_idempotent_on_representatives():
-    for f in iter_flags(3, 2):
-        again = canonical_form(f.rep)
-        assert (again.rep, again.index) == (f.rep, f.index)
+    for n, p in [(3, 2), (3, 3), (4, 2)]:
+        for f in iter_flags(n, p):
+            assert canonical_form(f.rep) == f
+            assert f.values == tuple(f.rep.entry(i, k)
+                                     for i, k in free_positions(f.cell))
 
 
 def test_upper_triangular_matrices_give_the_identity_flag():
@@ -138,7 +140,7 @@ def test_canonical_columns_rejects_singular_matrices():
 def test_coset_invariance_under_random_borel():
     rng = random.Random(7)
     p = 3
-    for f in enumerate_flags(3, p):
+    for f in iter_flags(3, p):
         b = [[rng.randrange(p) if j > i else (rng.randrange(1, p) if j == i else 0)
               for j in range(3)] for i in range(3)]
         g = f.rep * Matrix.from_rows(b, p)
