@@ -157,25 +157,35 @@ class Matrix:
                                         inverse_rows(self.rows, self.p))))
 
 
+def _rref(rows, ncols: int, p: int):
+    """Gauss-Jordan over F_p: bring the rows (lists, changed in place) to
+    reduced row echelon form, pivoting on their first ncols entries.
+    Returns the pivot columns; row k holds the pivot of column pivots[k]."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = inv_mod(rows[r][col], p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def inverse_rows(rows, p: int):
     """Inverse of a square matrix over F_p given as a list of rows; returns
     a list of row lists. Raises ValueError if the matrix is singular."""
     n = len(rows)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)]
            for i, r in enumerate(rows)]
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = inv_mod(aug[row][col], p)
-        aug[row] = [x * inv % p for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[row])]
-        row += 1
+    if len(_rref(aug, n, p)) < n:
+        raise ValueError("matrix is singular")
     return [r[n:] for r in aug]
 
 
@@ -240,22 +250,8 @@ def span_of(vectors, ambient: int, p: int) -> Subspace:
         if len(v) != ambient:
             raise ValueError("vector length != ambient dimension")
     # Reduced row echelon on the spanning vectors, then read rows as columns.
-    pivots = []
-    row = 0
-    for col in range(ambient):
-        piv = next((i for i in range(row, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = inv_mod(rows[row][col], p)
-        rows[row] = [x * inv % p for x in rows[row]]
-        for i in range(len(rows)):
-            if i != row and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[row])]
-        pivots.append(col)
-        row += 1
-    return Subspace(p, ambient, tuple(tuple(r) for r in rows[:row]))
+    rank = len(_rref(rows, ambient, p))
+    return Subspace(p, ambient, tuple(tuple(r) for r in rows[:rank]))
 
 
 def canonicalize_span(cols: Matrix) -> Subspace:
@@ -483,22 +479,7 @@ def _intertwiner_basis(a: Matrix, b: Matrix):
                 row[i * n + k] = (row[i * n + k] + a.rows[k][j]) % p
                 row[k * n + j] = (row[k * n + j] - b.rows[i][k]) % p
             rows.append(row)
-    # Nullspace by Gauss-Jordan.
-    pivots = []
-    r = 0
-    for c in range(size):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = inv_mod(rows[r][c], p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    pivots = _rref(rows, size, p)
     free = [c for c in range(size) if c not in pivots]
     basis = []
     for fc in free:

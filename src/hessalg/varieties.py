@@ -1,9 +1,13 @@
 """Hessenberg varieties over F_p as explicit point sets, and the poset P_X.
 
 A Variety is a membership bitmap over the fixed flag enumeration order.
-Equality and containment over F_p are reported as per-prime evidence; the
-multi-prime poset mode intersects the equivalence classes computed at
-each prime to reduce accidental coincidences.
+Every point set is read from one table of hull groups: the flags grouped
+by the running maximum of their profile. Hess(X, s) is the disjoint union
+of the groups whose hull lies below s, so two shapes give the same variety
+iff they have the same down-set of hulls, and containment of varieties is
+inclusion of down-sets. Equality and containment over F_p are per-prime
+evidence; with several primes a shape's key is its tuple of down-sets,
+one per prime, which reduces accidental coincidences.
 """
 
 from __future__ import annotations
@@ -213,11 +217,38 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
     return groups
 
 
+def _hull_groups(x: Matrix, n: int, p: int, shapes):
+    """Indices of the flags whose profile lies below the componentwise
+    maximum of the shapes, from one search, grouped by the hull
+    (m_1, max(m_1, m_2), ...) of their profile. A shape is non-decreasing,
+    so a profile lies below it iff its hull does."""
+    bound = [max(col) for col in zip(*(s.t for s in shapes))]
+    hulls = {}
+    for prof, idx in _profile_groups(x, n, p, bound).items():
+        hull = tuple(itertools.accumulate(prof, max))
+        if hull in hulls:
+            hulls[hull].extend(idx)
+        else:
+            hulls[hull] = idx
+    return hulls
+
+
+def _below(hull, t) -> bool:
+    return all(m <= b for m, b in zip(hull, t))
+
+
+def _points(hulls, down, n: int, p: int) -> FlagSet:
+    """The union of the hull groups named by down, as one bitmap."""
+    size = q_factorial(n, p)
+    return FlagSet(n, p, size, bits_from_indices(
+        itertools.chain.from_iterable(hulls[h] for h in down), size))
+
+
 def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
     """Membership bitmaps for several shapes sharing one operator, from one
-    profile search pruned by the componentwise maximum of the shapes. Each
-    bitmap is the union of the profile groups lying below its shape."""
+    table of hull groups. Each bitmap is the union of the hull groups lying
+    below its shape."""
     check_guards(n, p, override)
     if x.p != p or x.nrows != n:
         raise ValueError("operator size or modulus mismatch")
@@ -225,18 +256,9 @@ def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
         raise ValueError("shape rank != operator rank")
     if not shapes:
         return []
-    size = q_factorial(n, p)
-    bound = [max(col) for col in zip(*(s.t for s in shapes))]
-    groups = [(prof, bits_from_indices(idx, size))
-              for prof, idx in _profile_groups(x, n, p, bound).items()]
-    out = []
-    for s in shapes:
-        bits = 0
-        for prof, g in groups:
-            if all(m <= t for m, t in zip(prof, s.t)):
-                bits |= g
-        out.append(FlagSet(n, p, size, bits))
-    return out
+    hulls = _hull_groups(x, n, p, shapes)
+    return [_points(hulls, [h for h in hulls if _below(h, s.t)], n, p)
+            for s in shapes]
 
 
 def compute_variety(x: OperatorSpec, s: HessShape, p: int,
@@ -287,39 +309,32 @@ def build_poset(x: OperatorSpec, primes,
     primes = tuple(primes)
     if not primes:
         raise ValueError("need at least one prime")
-    shapes = enumerate_shapes(x.n, strict_only)
-    per_prime = [variety_bitmaps(x.matrix(p), shapes, x.n, p)
-                 for p in primes]
-    keys = {}
-    for si, s in enumerate(shapes):
-        key = tuple(per_prime[pi][si].bits for pi in range(len(primes)))
-        keys.setdefault(key, []).append(si)
-    classes = []
-    for key, members in keys.items():
-        member_shapes = tuple(shapes[si] for si in members)
-        classes.append(EqClass(
-            name=diagram_text(member_shapes[0]),
-            shapes=member_shapes,
-            bitmaps=tuple(per_prime[pi][members[0]] for pi in range(len(primes)))))
-    classes.sort(key=lambda c: c.representative.t)
-    less = {}
-    for a in classes:
-        for b in classes:
-            if a is b:
-                continue
-            less[(a.name, b.name)] = all(
-                fa.bits & fb.bits == fa.bits and fa.bits != fb.bits
-                for fa, fb in zip(a.bitmaps, b.bitmaps))
-    hasse = []
-    for a in classes:
-        for b in classes:
-            if a is b or not less[(a.name, b.name)]:
-                continue
-            if any(less[(a.name, c.name)] and less[(c.name, b.name)]
-                   for c in classes if c is not a and c is not b):
-                continue
-            hasse.append((a.name, b.name))
-    return PosetPX(x, primes, strict_only, tuple(classes), tuple(hasse))
+    n = x.n
+    shapes = enumerate_shapes(n, strict_only)
+    tables = []
+    for p in primes:
+        xm = x.matrix(p)
+        check_guards(n, p)
+        tables.append(_hull_groups(xm, n, p, shapes))
+    # A shape's key is its down-set of hulls at each prime. The shapes come
+    # in lex order, so the classes come out sorted by representative.
+    members_of = {}
+    for s in shapes:
+        key = tuple(frozenset(h for h in hulls if _below(h, s.t))
+                    for hulls in tables)
+        members_of.setdefault(key, []).append(s)
+    keys = list(members_of)
+    classes = tuple(
+        EqClass(diagram_text(members[0]), tuple(members),
+                tuple(_points(hulls, down, n, p)
+                      for p, hulls, down in zip(primes, tables, key)))
+        for key, members in members_of.items())
+    # a < b iff a's down-set is a proper subset of b's at every prime.
+    up = [{j for j, kb in enumerate(keys)
+           if all(da < db for da, db in zip(ka, kb))} for ka in keys]
+    hasse = tuple((a.name, classes[j].name) for a, ups in zip(classes, up)
+                  for j in sorted(ups) if not any(j in up[k] for k in ups))
+    return PosetPX(x, primes, strict_only, classes, hasse)
 
 
 def x_equivalence_classes(x: OperatorSpec, primes, strict_only: bool = False):

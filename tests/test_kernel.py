@@ -2,15 +2,18 @@
 oracles that do not share its code: the flag-chain test `member`, and the
 closed-form point counts of regular nilpotent Hessenberg varieties."""
 
+import tracemalloc
 from math import comb
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hessalg.field import regular_nilpotent
-from hessalg.flags import flag_at, iter_flags, member
-from hessalg.shapes import enumerate_shapes, peterson_shape
-from hessalg.varieties import jordan_operator, matrix_operator, variety_bitmaps
+from hessalg.flags import flag_at, iter_flags, member, q_factorial
+from hessalg.shapes import (HessShape, diagram_text, enumerate_shapes,
+                            peterson_shape)
+from hessalg.varieties import (build_poset, jordan_operator, matrix_operator,
+                               variety_bitmaps)
 
 SLOW = settings(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -42,7 +45,10 @@ def operators(draw, n):
 
 
 def _draw_matrix(data, n, p):
-    op = data.draw(operators(n))
+    return _resolve(data.draw(operators(n)), p)
+
+
+def _resolve(op, p):
     try:
         return op.matrix(p)
     except ValueError:  # more symbols than free residues mod p
@@ -106,3 +112,60 @@ def test_regular_nilpotent_counts_at_rank_six(s):
     (v,) = variety_bitmaps(regular_nilpotent(6, 2), [s], 6, 2)
     assert v.size == 615195
     assert v.count == _nilpotent_count(s, 2)
+
+
+def _reference_poset(op, primes, strict_only):
+    """P_X from one bitmap per shape and prime: classes keyed by their bit
+    tuples, a < b iff a's bitmap is a proper subset of b's at every prime,
+    and the covers found by trying every middle class."""
+    shapes = enumerate_shapes(op.n, strict_only)
+    per_prime = [variety_bitmaps(op.matrix(p), shapes, op.n, p)
+                 for p in primes]
+    keys = {}
+    for si, s in enumerate(shapes):
+        keys.setdefault(tuple(maps[si] for maps in per_prime), []).append(s)
+    classes = sorted(((tuple(members), maps)
+                      for maps, members in keys.items()),
+                     key=lambda c: c[0][0].t)
+
+    def less(a, b):
+        return all(x.bits & y.bits == x.bits and x.bits != y.bits
+                   for x, y in zip(a, b))
+
+    hasse = [(diagram_text(a[0]), diagram_text(b[0]))
+             for a, ka in classes for b, kb in classes
+             if less(ka, kb) and not any(less(ka, kc) and less(kc, kb)
+                                         for _, kc in classes)]
+    return ([(diagram_text(members[0]), members, [m.bits for m in maps])
+             for members, maps in classes], hasse)
+
+
+@settings(SLOW, max_examples=40)
+@given(st.data(), st.integers(1, 4),
+       st.sampled_from([(2,), (3,), (2, 3), (3, 2)]), st.booleans())
+def test_poset_equals_per_shape_bitmap_route(data, n, primes, strict_only):
+    op = data.draw(operators(n))
+    for p in primes:
+        _resolve(op, p)
+    poset = build_poset(op, primes, strict_only)
+    classes, hasse = _reference_poset(op, primes, strict_only)
+    assert [(c.name, c.shapes, [b.bits for b in c.bitmaps])
+            for c in poset.classes] == classes
+    assert list(poset.hasse) == hasse
+
+
+def test_one_shape_memory_scales_with_points():
+    # 91,611,520 flags at (6,3), so one bitmap is 11.5 MB. The bitmap is
+    # built in one pass over the points below the shape; one full-width
+    # bitmap per profile group peaked at 95 MiB on this query.
+    s = HessShape(6, (2, 3, 5, 5, 6, 6))
+    size = q_factorial(6, 3)
+    tracemalloc.start()
+    try:
+        (v,) = variety_bitmaps(regular_nilpotent(6, 3), [s], 6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.size == size
+    assert v.count == _nilpotent_count(s, 3) == 3328
+    assert peak < 4 * -(-size // 8)

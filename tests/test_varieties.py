@@ -124,6 +124,14 @@ def test_guard_and_override():
     assert v.points.count == 1
 
 
+def test_build_poset_size_guard():
+    # build_poset has no override; it checks the guard at every prime.
+    with pytest.raises(ValueError, match="size guard"):
+        build_poset(jordan_operator([(0, 2)]), (2, 11))
+    with pytest.raises(ValueError, match="size guard"):
+        build_poset(jordan_operator([(0, 7)]), 2)
+
+
 def test_bitmaps_are_stable_across_runs_and_shape_lists():
     op = jordan_operator([(0, 4)])
     shapes = [peterson_shape(4), borel_shape(4), full_shape(4)]
