@@ -8,9 +8,9 @@ involution, and the regular-nilpotent product decomposition.
 
 from .field import (JordanSpec, Matrix, Subspace, antitranspose,
                     canonicalize_span, conjugate, image_subspace,
-                    invariant_factors, jordan_matrix, jordan_spec,
-                    regular_nilpotent, similarity_transform, span_of,
-                    subspace_le, w0_matrix, zero_subspace)
+                    jordan_matrix, jordan_spec, regular_nilpotent,
+                    similarity_transform, span_of, subspace_le, w0_matrix,
+                    zero_subspace)
 from .shapes import (HessShape, YoungDiagram, borel_shape, diagram_text,
                      enumerate_shapes, full_shape, is_strict, parse_shape,
                      peterson_shape, shape_from_diagram, shape_from_function,

@@ -51,6 +51,8 @@ def parse_primes(text: str):
     primes = tuple(int(x) for x in text.split(","))
     if not primes:
         raise ValueError("need at least one prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
     return primes
 
 
@@ -133,14 +135,13 @@ def _poset_dot(poset) -> str:
     lines = ["digraph P_X {", "  rankdir=BT;"]
     for c in poset.classes:
         rep = c.representative
-        count = c.bitmaps[0].count
-        if count == 0:
+        if not any(b.count for b in c.bitmaps):
             label = "∅-variety"
         else:
             parts = shape_to_diagram(rep).parts
             label = "λ=%s | h=%s | %d" % (
                 ",".join(str(x) for x in parts) if parts else "∅",
-                ",".join(str(x) for x in rep.t), count)
+                ",".join(str(x) for x in rep.t), c.bitmaps[0].count)
         lines.append('  "%s" [label="%s"];' % (c.name, label))
     for a, b in poset.hasse:
         lines.append('  "%s" -> "%s";' % (a, b))

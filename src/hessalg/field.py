@@ -12,7 +12,6 @@ matching the usual matrix-display convention. Internal storage is
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -345,129 +344,18 @@ def regular_nilpotent(n: int, p: int) -> Matrix:
 # ---------------------------------------------------------------------------
 # Similarity over F_p.
 #
-# Two square matrices over a field are similar iff xI - A and xI - B have
-# the same Smith invariant factors (the rational-canonical-form data). The
-# explicit transform is then found inside the solution space of PA = BP,
-# which always contains an invertible element when the matrices are
-# similar.
+# Write C(A, B) for the intertwiners {P : P A = B P}, a subspace of the
+# n x n matrices. Over any field, A and B are similar iff
+# dim C(A, A) = dim C(A, B) = dim C(B, B) (Byrnes and Gauger, Linear and
+# Multilinear Algebra 1977); one equality alone does not suffice. Each
+# dimension is n^2 minus the rank of one linear system, and when A and B
+# are similar the transform is found inside C(A, B), which then contains
+# an invertible element.
 # ---------------------------------------------------------------------------
 
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _padd(a, b, p):
-    m = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(m)])
-
-
-def _psub(a, b, p):
-    m = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(m)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv = inv_mod(b[-1], p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] = (a[d + i] - c * y) % p
-        a = _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pmonic(a, p):
-    if not a:
-        return a
-    inv = inv_mod(a[-1], p)
-    return [x * inv % p for x in a]
-
-
-def invariant_factors(a: Matrix) -> tuple:
-    """Nonconstant Smith invariant factors of xI - A over F_p[x], as monic
-    coefficient tuples (ascending), in divisibility order."""
-    if a.nrows != a.ncols:
-        raise ValueError("not square")
-    n = a.nrows
-    p = a.p
-    m = [[_ptrim([(-a.rows[i][j]) % p] + ([1] if i == j else []))
-          for j in range(n)] for i in range(n)]
-    t = 0
-    diag = []
-    while t < n:
-        # Smallest-degree nonzero entry in the trailing submatrix.
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if m[i][j] and (best is None or len(m[i][j]) < best[0]):
-                    best = (len(m[i][j]), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        for row in m:
-            row[t], row[bj] = row[bj], row[t]
-        dirty = False
-        for i in range(t + 1, n):
-            if m[i][t]:
-                q, _ = _pdivmod(m[i][t], m[t][t], p)
-                for j in range(t, n):
-                    m[i][j] = _psub(m[i][j], _pmul(q, m[t][j], p), p)
-                if m[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if m[t][j]:
-                q, _ = _pdivmod(m[t][j], m[t][t], p)
-                for i in range(t, n):
-                    m[i][j] = _psub(m[i][j], _pmul(q, m[i][t], p), p)
-                if m[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # Pivot must divide every remaining entry.
-        fix = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                if m[i][j]:
-                    _, r = _pdivmod(m[i][j], m[t][t], p)
-                    if r:
-                        fix = i
-                        break
-            if fix is not None:
-                break
-        if fix is not None:
-            for j in range(t, n):
-                m[t][j] = _padd(m[t][j], m[fix][j], p)
-            continue
-        diag.append(tuple(_pmonic(m[t][t], p)))
-        t += 1
-    return tuple(f for f in diag if len(f) > 1)
-
-
-def _intertwiner_basis(a: Matrix, b: Matrix):
-    """Basis of {P : P A = B P} as matrices."""
+def _intertwiner_rref(a: Matrix, b: Matrix):
+    """The system P A = B P in the n^2 entries of P (row-major), in reduced
+    row echelon form: (rows, pivot columns)."""
     n = a.nrows
     p = a.p
     size = n * n
@@ -479,7 +367,20 @@ def _intertwiner_basis(a: Matrix, b: Matrix):
                 row[i * n + k] = (row[i * n + k] + a.rows[k][j]) % p
                 row[k * n + j] = (row[k * n + j] - b.rows[i][k]) % p
             rows.append(row)
-    pivots = _rref(rows, size, p)
+    return rows, _rref(rows, size, p)
+
+
+def _intertwiner_dim(a: Matrix, b: Matrix) -> int:
+    """dim C(A, B)."""
+    return a.nrows ** 2 - len(_intertwiner_rref(a, b)[1])
+
+
+def _intertwiner_basis(a: Matrix, b: Matrix):
+    """Basis of C(A, B) = {P : P A = B P} as matrices."""
+    n = a.nrows
+    p = a.p
+    size = n * n
+    rows, pivots = _intertwiner_rref(a, b)
     free = [c for c in range(size) if c not in pivots]
     basis = []
     for fc in free:
@@ -499,9 +400,9 @@ def similarity_transform(a: Matrix, b: Matrix):
         raise ValueError("modulus mismatch")
     if a.nrows != a.ncols or a.nrows != b.nrows or b.nrows != b.ncols:
         raise ValueError("need square matrices of equal size")
-    if invariant_factors(a) != invariant_factors(b):
-        return None
     basis = _intertwiner_basis(a, b)
+    if not _intertwiner_dim(a, a) == len(basis) == _intertwiner_dim(b, b):
+        return None
     for cand in basis:
         if cand.is_invertible():
             return cand

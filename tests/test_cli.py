@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,24 @@ def test_parse_operator_errors():
 
 def test_parse_primes():
     assert parse_primes("2,3,5") == (2, 3, 5)
+    with pytest.raises(ValueError, match="distinct"):
+        parse_primes("3,3")
+
+
+@pytest.mark.parametrize("argv", [
+    ["variety", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2",
+     "--p", "3,3"],
+    ["poset", "--n", "2", "--x", "jordan:0^2", "--p", "2,2"]])
+def test_repeated_primes_are_a_usage_error(capsys, monkeypatch, argv):
+    # Refused before any search runs.
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr("hessalg.varieties._hull_groups", no_search)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "primes must be distinct"
 
 
 # --- shapes ------------------------------------------------------------------------
@@ -112,6 +135,17 @@ def test_poset_dot_output(capsys):
     assert '"yd:2,2" [label="∅-variety"];' in out
     assert '"yd:2,1" -> "yd:";' in out
     assert 'label="λ=2,1 | h=0,1 | 1"' in out
+
+
+def test_poset_dot_labels_a_class_empty_at_one_prime(capsys):
+    # x^2 + 1 has no root mod 3 but two mod 5: yd:1 is empty only at p = 3.
+    code, out, err = run_cli(capsys, "poset", "--n", "2",
+                             "--x", "matrix:0,1;-1,0", "--p", "3,5",
+                             "--format", "dot")
+    assert code == 0
+    assert '"yd:2,2" [label="∅-variety"];' in out
+    assert '"yd:1" [label="λ=1 | h=1,2 | 0"];' in out
+    assert '"yd:" [label="λ=∅ | h=2,2 | 4"];' in out
 
 
 def test_poset_strict_only(capsys):
@@ -226,3 +260,35 @@ def test_outputs_are_stable_across_runs(capsys):
         runs.append(capsys.readouterr().out)
         assert code == 0
     assert len(set(runs)) == 1
+
+
+# --- README examples ----------------------------------------------------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _readme_block(heading, lang):
+    section = README.split(heading + "\n", 1)[1]
+    return re.search(r"```%s\n(.*?)```" % lang, section, re.S).group(1)
+
+
+def test_readme_command_line_examples(capsys):
+    docs = {}
+    for line in _readme_block("## Command line", "sh").splitlines():
+        if line.startswith("hessalg "):
+            argv = shlex.split(line)[1:]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (line, err)
+            docs[argv[0]] = out
+    assert len(docs) == 6
+    assert json.loads(docs["variety"])["fit"] == "q^2+2q+1"
+    decompose = json.loads(docs["decompose"])
+    assert decompose["count"] == 63
+    assert decompose["factor_counts"] == [21, 3]
+
+
+def test_readme_library_example():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_readme_block("## Library", "python"), {})
+    assert out.getvalue().splitlines() == ["36", "[1, 2, 1]"]

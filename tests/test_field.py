@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from hessalg.field import (JordanSpec, Matrix, antitranspose,
                            canonicalize_span, conjugate, full_subspace,
-                           image_subspace, inv_mod, invariant_factors,
-                           jordan_matrix, jordan_spec, regular_nilpotent,
+                           image_subspace, inv_mod, jordan_matrix,
+                           jordan_spec, regular_nilpotent,
                            similarity_transform, span_of, subspace_le,
                            zero_subspace)
 
@@ -248,10 +249,6 @@ def test_every_matrix_similar_to_its_antitranspose():
         for _ in range(8):
             a = random_matrix(4, p, rng)
             b = antitranspose(a)
-            # Independent oracle: the rational-canonical-form data (Smith
-            # invariant factors of xI - M) must agree before we even look
-            # for a transform.
-            assert invariant_factors(a) == invariant_factors(b)
             assert_transform(similarity_transform(a, b), a, b)
 
 
@@ -262,10 +259,56 @@ def test_not_similar_returns_none():
     a = jordan_matrix(jordan_spec([(0, 2), (0, 1)], 3))
     b = jordan_matrix(jordan_spec([(0, 3)], 3))
     assert similarity_transform(a, b) is None
+    # J2 + J2 and J2 + J1 + J1 over F_2: both have characteristic
+    # polynomial x^4 and minimal polynomial x^2.
+    a = jordan_matrix(jordan_spec([(0, 2), (0, 2)], 2))
+    b = jordan_matrix(jordan_spec([(0, 2), (0, 1), (0, 1)], 2))
+    assert similarity_transform(a, b) is None
+    assert similarity_transform(b, a) is None
 
 
-def test_invariant_factors_of_companion_like_matrices():
-    # One nilpotent block of size n has a single invariant factor x^n.
-    assert invariant_factors(regular_nilpotent(3, 5)) == ((0, 0, 0, 1),)
-    # The zero matrix has n invariant factors, all equal to x.
-    assert invariant_factors(Matrix.zero(2, 2, 3)) == ((0, 1), (0, 1))
+def conjugacy_classes(n, p):
+    """Brute-force GL_n(F_p) orbits on M_n(F_p): {matrix rows: class id}."""
+    every = [Matrix.from_rows([cells[i * n:(i + 1) * n] for i in range(n)], p)
+             for cells in itertools.product(range(p), repeat=n * n)]
+    group = [(g, g.inverse()) for g in every if g.is_invertible()]
+    label, classes = {}, 0
+    for a in every:
+        if a.rows not in label:
+            for g, g_inv in group:
+                label[(g * a * g_inv).rows] = classes
+            classes += 1
+    return every, label
+
+
+def check_similarity(a, b, label):
+    found = similarity_transform(a, b)
+    if label[a.rows] != label[b.rows]:
+        assert found is None
+    else:
+        assert found is not None
+        assert_transform(found, a, b)
+
+
+@pytest.mark.parametrize("n, p, classes", [(2, 2, 6), (2, 3, 12)])
+def test_similarity_matches_conjugacy_classes_on_all_pairs(n, p, classes):
+    every, label = conjugacy_classes(n, p)
+    assert len(set(label.values())) == classes
+    for a in every:
+        for b in every:
+            check_similarity(a, b, label)
+
+
+def test_similarity_matches_conjugacy_classes_on_sampled_pairs():
+    # Two pairs per ordered pair of the 14 classes of M_3(F_2), so every
+    # pair of distinct classes is tried.
+    every, label = conjugacy_classes(3, 2)
+    members = {}
+    for a in every:
+        members.setdefault(label[a.rows], []).append(a)
+    assert len(members) == 14
+    rng = random.Random(31)
+    for ca in members.values():
+        for cb in members.values():
+            for _ in range(2):
+                check_similarity(rng.choice(ca), rng.choice(cb), label)

@@ -1,15 +1,18 @@
 """Property tests of the membership kernel (variety_bitmaps) against
-oracles that do not share its code: the flag-chain test `member`, and the
-closed-form point counts of regular nilpotent Hessenberg varieties."""
+oracles that do not share its code: the flag-chain test `member`, the
+closed-form point counts of regular nilpotent and regular semisimple
+Hessenberg varieties, and the paving by affine cells."""
 
+import itertools
 import tracemalloc
 from math import comb
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from hessalg.field import regular_nilpotent
-from hessalg.flags import flag_at, iter_flags, member, q_factorial
+from hessalg.field import Matrix, regular_nilpotent
+from hessalg.flags import (flag_at, flag_cell, iter_flags, member,
+                          q_factorial)
 from hessalg.shapes import (HessShape, diagram_text, enumerate_shapes,
                             peterson_shape)
 from hessalg.varieties import (build_poset, jordan_operator, matrix_operator,
@@ -112,6 +115,44 @@ def test_regular_nilpotent_counts_at_rank_six(s):
     (v,) = variety_bitmaps(regular_nilpotent(6, 2), [s], 6, 2)
     assert v.size == 615195
     assert v.count == _nilpotent_count(s, 2)
+
+
+def _semisimple_count(s, q):
+    """#Hess(X, h)(F_q) = sum over w in S_n of q^{inv_h(w)} for regular
+    semisimple X and a strict shape h, where inv_h(w) counts the pairs
+    i < j <= h(i) with w(i) > w(j) (De Mari, Procesi and Shayman)."""
+    n = s.n
+    return sum(q ** sum(1 for i in range(n) for j in range(i + 1, s.t[i])
+                        if w[i] > w[j])
+               for w in itertools.permutations(range(n)))
+
+
+def test_regular_semisimple_counts():
+    for n, p in ((3, 3), (3, 5), (4, 5)):
+        shapes = enumerate_shapes(n, strict_only=True)
+        x = Matrix.diagonal(range(n), p)
+        for s, v in zip(shapes, variety_bitmaps(x, shapes, n, p)):
+            assert v.count == _semisimple_count(s, p), (n, p, s.t)
+
+
+def _is_power(count, p):
+    while count % p == 0:
+        count //= p
+    return count == 1
+
+
+def test_nonempty_cells_have_a_power_of_p_points():
+    # Hess(X, h) meets each Bruhat cell in an affine space or not at all
+    # (Tymoczko), for the regular nilpotent and for diagonal X.
+    for x, n, p in ((regular_nilpotent(5, 2), 5, 2),
+                    (Matrix.diagonal(range(4), 5), 4, 5)):
+        shapes = enumerate_shapes(n, strict_only=True)
+        for s, v in zip(shapes, variety_bitmaps(x, shapes, n, p)):
+            per_cell = {}
+            for index in v.indices():
+                w = flag_cell(index, n, p)[0]
+                per_cell[w] = per_cell.get(w, 0) + 1
+            assert all(_is_power(c, p) for c in per_cell.values()), s.t
 
 
 def _reference_poset(op, primes, strict_only):
