@@ -17,7 +17,7 @@ from .field import (JordanSpec, Matrix, antitranspose, image_subspace,
                     inverse_rows, jordan_matrix, regular_nilpotent,
                     similarity_transform, subspace_le)
 from .flags import (Flag, _flag_index, _rep_rows, canonical_columns,
-                    canonical_form, chain, flag_at, flag_cell, flag_text,
+                    canonical_form, flag_at, flag_cell, flag_text,
                     inversions, member, profile)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
@@ -39,7 +39,7 @@ def check_lemma(x: Matrix, flag, i: int, j: int):
     n = f.n
     if not 1 <= i < j <= n:
         raise ValueError("need 1 <= i < j <= n")
-    spans = [chain(f, k) for k in range(n + 1)]
+    spans = f.spans
     c1 = all(subspace_le(image_subspace(x, spans[k]), spans[k])
              for k in list(range(1, i)) + list(range(j + 1, n + 1)))
     img_i = image_subspace(x, spans[i])
@@ -164,6 +164,27 @@ def strict_memberships(x: Matrix, f: Flag) -> dict:
             for text, s in _strict_shapes(f.n)}
 
 
+# Bounds of the per-session memos below. Each holds work that depends only
+# on the operator, on (n, p) or on (X, i, j); the checks that use it run on
+# every call. Worst-case memory, measured with tracemalloc on full memos
+# at n = 6, p = 7 (about 4 MB in all):
+# - the transform, 2.3 KB an operator: 64 operators, 0.15 MB;
+# - the involution index map, 0.25 KB an index: 4,096 indices, 1.0 MB;
+# - the composed index map, 0.2 KB an index: 4,096 indices, 0.8 MB;
+# - the witness with its memberships, 7.8 KB an (X, i, j): 256, 2.0 MB.
+TRANSFORM_MEMO_SIZE = 64
+INDEX_MEMO_SIZE = 4096
+WITNESS_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=WITNESS_MEMO_SIZE)
+def _witness_entry(spec: JordanSpec, i: int, j: int):
+    """(witness flag, its memberships over every strict shape) for
+    (X, i, j). Callers copy the memberships before handing them out."""
+    f = build_witness(spec, i, j)[1]
+    return f, strict_memberships(jordan_matrix(spec), f)
+
+
 @dataclass(frozen=True)
 class WitnessCertificate:
     operator: JordanSpec
@@ -192,10 +213,15 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
     i, j = pair
-    _, f, checks = build_witness(spec, i, j)
+    f, memberships = _witness_entry(spec, i, j)
+    memberships = dict(memberships)
     x = jordan_matrix(spec)
-    memberships = strict_memberships(x, f)
-    # The chain oracle re-checks the two memberships the certificate rests on.
+    # The witness is shared between calls; the lemma and the two
+    # memberships the certificate rests on are re-checked on every call.
+    checks, verdict = check_lemma(x, f, i, j)
+    if not verdict:
+        raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
+                           % (i, j, flag_text(f)))
     for s in (s1, s2):
         if member(x, s, f) != memberships[shape_text(s)]:
             raise RuntimeError(
@@ -214,16 +240,37 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
 
 def involution_image(f: Flag) -> Flag:
     """gB -> w0 (g^T)^{-1} w0 B; an involution on the flag set."""
-    cols = _involution_columns(f.index, f.n, f.p)
-    return flag_at(canonical_columns(cols, f.p)[2], f.n, f.p)
+    return flag_at(_involution_index(f.index, f.n, f.p), f.n, f.p)
 
 
-def _involution_columns(index: int, n: int, p: int):
-    """Columns of w0 (g^T)^{-1} w0 for the canonical representative g of
+@lru_cache(maxsize=INDEX_MEMO_SIZE)
+def _involution_index(index: int, n: int, p: int) -> int:
+    """Index of w0 (g^T)^{-1} w0 for the canonical representative g of
     the flag at an index. Its entry (i, j) is entry (n-1-j, n-1-i) of
     g^{-1}, so column j is row n-1-j of g^{-1} reversed."""
     inv = inverse_rows(_rep_rows(*flag_cell(index, n, p)), p)
-    return [inv[n - 1 - j][::-1] for j in range(n)]
+    return canonical_columns([inv[n - 1 - j][::-1] for j in range(n)], p)[2]
+
+
+@lru_cache(maxsize=TRANSFORM_MEMO_SIZE)
+def _involution_transform(x: Matrix):
+    """(Y, P): Y = w0 X^T w0, and P with P Y P^{-1} = X, or None if there
+    is no such P."""
+    ym = antitranspose(x)
+    return ym, similarity_transform(ym, x)
+
+
+@lru_cache(maxsize=INDEX_MEMO_SIZE)
+def _composed_index(x: Matrix, index: int, n: int, p: int) -> int:
+    """Index of P g' for the flag at an index, where g' is the canonical
+    representative of its involution image and P comes from
+    _involution_transform(X). P g' spans the same flag as P times any
+    other representative of the image."""
+    prows = _involution_transform(x)[1].rows
+    g = _rep_rows(*flag_cell(_involution_index(index, n, p), n, p))
+    return canonical_columns(
+        [[sum(a * b for a, b in zip(r, c)) % p for r in prows]
+         for c in zip(*g)], p)[2]
 
 
 @dataclass(frozen=True)
@@ -241,22 +288,20 @@ class InvolutionReport:
 def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport:
     n = s.n
     xm = x.matrix(p)
-    ym = antitranspose(xm)  # equals w0 * X^T * w0
+    ym, pmat = _involution_transform(xm)  # ym = w0 * X^T * w0
+    if pmat is None:
+        raise RuntimeError("X and w0 X^T w0 must be similar")
+    if pmat * ym != xm * pmat or not pmat.is_invertible():
+        raise RuntimeError("similarity transform fails P Y = X P "
+                           "with P invertible")
     s_t = transpose_shape(s)
     v1, v3 = variety_bitmaps(xm, [s, s_t], n, p)
     v2 = variety_bitmaps(ym, [s_t], n, p)[0]
-    images = [_involution_columns(idx, n, p) for idx in v1.indices()]
-    inter_ok = ({canonical_columns(g, p)[2] for g in images}
+    points = v1.indices()
+    inter_ok = ({_involution_index(i, n, p) for i in points}
                 == set(v2.indices()))
-    pmat = similarity_transform(ym, xm)
-    if pmat is None:
-        raise RuntimeError("X and w0 X^T w0 must be similar")
-    # P g and P times the canonical representative of g span the same flag.
-    prows = pmat.rows
-    composed = {canonical_columns(
-        [[sum(a * b for a, b in zip(r, c)) % p for r in prows] for c in g],
-        p)[2] for g in images}
-    comp_ok = composed == set(v3.indices())
+    comp_ok = ({_composed_index(xm, i, n, p) for i in points}
+               == set(v3.indices()))
     counts_ok = v1.count == v3.count
     return InvolutionReport(s, s_t, p, v1.count, v3.count, inter_ok, comp_ok,
                             inter_ok and comp_ok and counts_ok)

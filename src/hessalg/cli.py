@@ -48,9 +48,11 @@ def parse_operator(text: str, n: int) -> varieties.OperatorSpec:
 
 
 def parse_primes(text: str):
-    primes = tuple(int(x) for x in text.split(","))
-    if not primes:
-        raise ValueError("need at least one prime")
+    fields = text.split(",")
+    if "" in fields:
+        raise ValueError("--p has an empty field in %r; give primes "
+                         "separated by commas" % text)
+    primes = tuple(int(x) for x in fields)
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     return primes

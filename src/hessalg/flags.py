@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .field import Matrix, Subspace, inv_mod, span_of, zero_subspace
+from .field import Matrix, Subspace, inv_mod, span_of
 from .shapes import HessShape
 
 GUARD_MAX_N = 6
@@ -86,6 +86,14 @@ class Flag:
         rows = _rep_rows(self.cell, self.values)
         return Matrix(self.p, tuple(map(tuple, rows)))
 
+    @cached_property
+    def spans(self) -> tuple:
+        """The chain F_0, ..., F_n: F_k is spanned by the first k columns
+        of the representative. Built on first use."""
+        cols = list(zip(*self.rep.rows))
+        return tuple(span_of(cols[:k], self.n, self.p)
+                     for k in range(self.n + 1))
+
 
 @dataclass(frozen=True)
 class FlagSet:
@@ -145,10 +153,11 @@ def _cell_offsets(n: int, p: int):
 
 @lru_cache(maxsize=None)
 def _cell_starts(n: int, p: int):
-    """(start indices, cells) in enumeration order, for bisection, and the
-    flag count."""
+    """(start indices, cells, cell lengths) in enumeration order, for
+    bisection, and the flag count."""
     offsets = _cell_offsets(n, p)
-    return tuple(offsets.values()), tuple(offsets), q_factorial(n, p)
+    return (tuple(offsets.values()), tuple(offsets),
+            tuple(inversions(w) for w in offsets), q_factorial(n, p))
 
 
 def _rep_rows(w, values):
@@ -216,13 +225,13 @@ def _flag_index(w, values, n: int, p: int) -> int:
 def flag_cell(index: int, n: int, p: int):
     """(cell, free values) of the flag at a position of the enumeration
     order; inverse of the index that canonical_columns assigns."""
-    starts, cells, size = _cell_starts(n, p)
+    starts, cells, lengths, size = _cell_starts(n, p)
     if not 0 <= index < size:
         raise ValueError("flag index %d out of range" % index)
     c = bisect_right(starts, index) - 1
     w = cells[c]
     rank = index - starts[c]
-    values = [0] * inversions(w)
+    values = [0] * lengths[c]
     for k in range(len(values) - 1, -1, -1):
         rank, values[k] = divmod(rank, p)
     return w, tuple(values)
@@ -246,9 +255,7 @@ def chain(f: Flag, k: int) -> Subspace:
     """The subspace F_k spanned by the first k columns (F_0 = 0)."""
     if not 0 <= k <= f.n:
         raise ValueError("k out of range")
-    if k == 0:
-        return zero_subspace(f.n, f.p)
-    return span_of([f.rep.column(j) for j in range(1, k + 1)], f.n, f.p)
+    return f.spans[k]
 
 
 def member(x: Matrix, s: HessShape, f: Flag) -> bool:

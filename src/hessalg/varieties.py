@@ -309,6 +309,8 @@ def build_poset(x: OperatorSpec, primes,
     primes = tuple(primes)
     if not primes:
         raise ValueError("need at least one prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
     n = x.n
     shapes = enumerate_shapes(n, strict_only)
     tables = []

@@ -5,17 +5,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hessalg import certificates
-from hessalg.field import (Matrix, jordan_matrix, jordan_spec,
-                           regular_nilpotent, span_of, w0_matrix)
-from hessalg.flags import (canonical_form, chain, flag_at, flag_text,
-                           identity_flag, iter_flags, member,
+from hessalg.field import (Matrix, antitranspose, inverse_rows,
+                           jordan_matrix, jordan_spec, regular_nilpotent,
+                           similarity_transform, span_of, w0_matrix)
+from hessalg.flags import (canonical_columns, canonical_form, chain, flag_at,
+                           flag_text, identity_flag, iter_flags, member,
                            permutation_flag, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
-                            peterson_shape, shape_from_function, shape_text)
-from hessalg.varieties import jordan_operator
-from hessalg.certificates import (certify_distinct, check_lemma,
-                                  indecomposable_interval, involution_image,
-                                  product_flag, split_flag,
+                            peterson_shape, shape_from_function, shape_text,
+                            transpose_shape)
+from hessalg.varieties import (jordan_operator, matrix_operator,
+                               variety_bitmaps)
+from hessalg.certificates import (InvolutionReport, certify_distinct,
+                                  check_lemma, indecomposable_interval,
+                                  involution_image, product_flag, split_flag,
                                   verify_decomposition, verify_involution,
                                   witness_flag)
 
@@ -227,6 +230,115 @@ def test_verify_involution_strict_sweep_n3():
     op = jordan_operator([(1, 1), (1, 1), (0, 1)])
     for s in enumerate_shapes(3, strict_only=True):
         assert verify_involution(op, s, 2).ok
+
+
+# --- memos across calls ------------------------------------------------------------
+
+MEMOS = (certificates._involution_transform, certificates._involution_index,
+         certificates._composed_index, certificates._witness_entry)
+
+
+def integer_conjugate(rows, rng, steps=8):
+    """E X E^{-1} for a product E of integer elementary matrices, so the
+    result is similar to X over every F_p."""
+    x = [list(r) for r in rows]
+    for _ in range(steps):
+        a, b = rng.sample(range(len(x)), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        x[a] = [u + c * v for u, v in zip(x[a], x[b])]  # row a += c row b
+        for r in x:                                      # col b -= c col a
+            r[b] -= c * r[a]
+    return x
+
+
+def involution_without_memos(op, s, p):
+    """verify_involution on the route that keeps nothing between calls:
+    g^{-1} per point, canonical_columns, and a fresh similarity transform.
+    Returns (report, points, intermediate indices, composed indices)."""
+    n = s.n
+    xm = op.matrix(p)
+    ym = antitranspose(xm)
+    s_t = transpose_shape(s)
+    v1, v3 = variety_bitmaps(xm, [s, s_t], n, p)
+    v2 = variety_bitmaps(ym, [s_t], n, p)[0]
+    images = []
+    for idx in v1.indices():
+        inv = inverse_rows(flag_at(idx, n, p).rep.rows, p)
+        images.append([inv[n - 1 - j][::-1] for j in range(n)])
+    inter = {canonical_columns(g, p)[2] for g in images}
+    prows = similarity_transform(ym, xm).rows
+    composed = {canonical_columns(
+        [[sum(a * b for a, b in zip(r, c)) % p for r in prows] for c in g],
+        p)[2] for g in images}
+    inter_ok = inter == set(v2.indices())
+    comp_ok = composed == set(v3.indices())
+    report = InvolutionReport(s, s_t, p, v1.count, v3.count, inter_ok,
+                              comp_ok, inter_ok and comp_ok
+                              and v1.count == v3.count)
+    return report, v1.indices(), inter, composed
+
+
+def test_memoized_involution_equals_the_route_without_memos():
+    conj = matrix_operator(integer_conjugate(
+        [[1, 1, 0], [0, 1, 0], [0, 0, 0]], random.Random(7)))
+    cases = [(op, s, p)
+             for op in (jordan_operator([(0, 3)]),
+                        jordan_operator([(1, 2), (0, 1)]), conj)
+             for p in (3, 5) for s in enumerate_shapes(3)]
+    cases += [(jordan_operator([(0, 4)]), s, 2)
+              for s in enumerate_shapes(4, strict_only=True)]
+    assert len(cases) == 3 * 2 * 20 + 14
+    for memo in MEMOS:
+        memo.cache_clear()
+    cold = [verify_involution(op, s, p) for op, s, p in cases]
+    warm = [verify_involution(op, s, p) for op, s, p in cases]
+    assert certificates._involution_index.cache_info().hits > 0
+    assert certificates._composed_index.cache_info().hits > 0
+    for (op, s, p), c, w in zip(cases, cold, warm):
+        report, points, inter, composed = involution_without_memos(op, s, p)
+        assert c == w == report
+        assert c.ok
+        n, xm = s.n, op.matrix(p)
+        assert {certificates._involution_index(i, n, p)
+                for i in points} == inter
+        assert {certificates._composed_index(xm, i, n, p)
+                for i in points} == composed
+
+
+@pytest.mark.parametrize("bad", [Matrix.identity(3, 3), Matrix.zero(3, 3, 3)])
+def test_a_bad_cached_transform_is_caught(monkeypatch, bad):
+    # The identity does not intertwine Y and X here; zero does, but is
+    # singular.
+    op = jordan_operator([(1, 2), (0, 1)])
+    ym = certificates._involution_transform(op.matrix(3))[0]
+    assert ym != op.matrix(3)
+    monkeypatch.setattr(certificates, "_involution_transform",
+                        lambda x: (ym, bad))
+    with pytest.raises(RuntimeError, match="similarity transform"):
+        verify_involution(op, borel_shape(3), 3)
+
+
+def test_the_lemma_is_rechecked_on_a_memoized_witness(monkeypatch):
+    spec = jordan_spec([(0, 3)], 2)
+    s1, s2 = borel_shape(3), shape_from_function([2, 3, 3])
+    certify_distinct(spec, s1, s2)
+    hits = certificates._witness_entry.cache_info().hits
+    monkeypatch.setattr(certificates, "check_lemma",
+                        lambda x, f, i, j: ((True, True, False), False))
+    with pytest.raises(RuntimeError, match="lemma"):
+        certify_distinct(spec, s1, s2)
+    assert certificates._witness_entry.cache_info().hits == hits + 1
+
+
+def test_certificates_do_not_share_memberships():
+    spec = jordan_spec([(1, 2), (0, 2)], 3)
+    s1, s2 = borel_shape(4), full_shape(4)
+    first = certify_distinct(spec, s1, s2)
+    expected = dict(first.memberships)
+    first.memberships.clear()
+    second = certify_distinct(spec, s1, s2)
+    assert second.memberships == expected
+    assert second.flag is first.flag
 
 
 # --- product decomposition --------------------------------------------------------

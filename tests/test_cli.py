@@ -54,6 +54,8 @@ def test_parse_primes():
     assert parse_primes("2,3,5") == (2, 3, 5)
     with pytest.raises(ValueError, match="distinct"):
         parse_primes("3,3")
+    with pytest.raises(ValueError, match="empty field"):
+        parse_primes("2,")
 
 
 @pytest.mark.parametrize("argv", [
@@ -70,6 +72,19 @@ def test_repeated_primes_are_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "primes must be distinct"
+
+
+@pytest.mark.parametrize("command", [
+    ["variety", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2"],
+    ["poset", "--n", "2", "--x", "jordan:0^2"]])
+@pytest.mark.parametrize("text", ["2,", ","])
+def test_an_empty_prime_field_is_a_usage_error(capsys, command, text):
+    code, out, err = run_cli(capsys, *command, "--p", text)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == (
+        "--p has an empty field in %r; give primes separated by commas"
+        % text)
 
 
 # --- shapes ------------------------------------------------------------------------

@@ -194,6 +194,14 @@ def test_chain_is_strictly_increasing():
             assert chain(f, k).dim == k
 
 
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
+def test_chain_is_the_span_of_the_first_columns(n, p):
+    for f in iter_flags(n, p):
+        for k in range(n + 1):
+            cols = [f.rep.column(j) for j in range(1, k + 1)]
+            assert chain(f, k) == span_of(cols, n, p)
+
+
 # --- membership --------------------------------------------------------------------
 
 def test_identity_flag_in_peterson_variety():

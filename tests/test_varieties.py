@@ -124,6 +124,16 @@ def test_guard_and_override():
     assert v.points.count == 1
 
 
+def test_build_poset_refuses_repeated_primes(monkeypatch):
+    # Refused before any search runs.
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr("hessalg.varieties._hull_groups", no_search)
+    with pytest.raises(ValueError, match="primes must be distinct"):
+        build_poset(jordan_operator([(0, 2)]), (2, 2))
+
+
 def test_build_poset_size_guard():
     # build_poset has no override; it checks the guard at every prime.
     with pytest.raises(ValueError, match="size guard"):
