@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
 from . import certificates, varieties
 from .field import jordan_matrix
-from .flags import GUARD_PRIMES, flag_at, flag_text
+from .flags import GUARD_PRIMES, point_labels
 from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,
                      negative_root_set, parse_shape, shape_text,
                      shape_to_diagram)
@@ -48,11 +49,16 @@ def parse_operator(text: str, n: int) -> varieties.OperatorSpec:
 
 
 def parse_primes(text: str):
-    fields = text.split(",")
-    if "" in fields:
-        raise ValueError("--p has an empty field in %r; give primes "
-                         "separated by commas" % text)
-    primes = tuple(int(x) for x in fields)
+    primes = []
+    for field in text.split(","):
+        try:
+            primes.append(int(field))
+        except ValueError:
+            what = ("a non-integer field %r" % field if field
+                    else "an empty field")
+            raise ValueError("--p has %s in %r; give primes separated by "
+                             "commas" % (what, text)) from None
+    primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     return primes
@@ -77,12 +83,23 @@ def _roots_text(s) -> str:
         "-" + "-".join("a%d" % k for k in range(i, j)) for i, j in roots) + "}"
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text) -> None:
+    """Write the output and a final newline to --output or stdout. `text`
+    is one string or an iterable of pieces, written as they come."""
+    pieces = (text,) if isinstance(text, str) else text
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.writelines(pieces)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError("cannot write --output %r: %s"
+                             % (args.output, exc.strerror or exc)) from None
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        # Flush here, so that a closed pipe raises inside main().
+        sys.stdout.flush()
 
 
 def cmd_shapes(args) -> int:
@@ -110,26 +127,57 @@ def cmd_shapes(args) -> int:
     return 0
 
 
+# Stands in for each point list in the laid-out variety document. No other
+# string there can hold a NUL: the operator name has passed the parser.
+_POINTS = "\0"
+
+
+def _point_list(points):
+    """The text json.dumps(..., indent=2) gives a variety's "points" list,
+    in pieces. Labels need no escaping: they are made of e, r, c, digits,
+    brackets, braces, commas, '=' and spaces."""
+    labels = point_labels(points)
+    first = next(labels, None)
+    if first is None:
+        yield "[]"
+        return
+    yield '[\n        "' + first
+    for label in labels:
+        yield '",\n        "' + label
+    yield '"\n      ]'
+
+
+def _variety_text(doc, bitmaps):
+    """The pieces of json.dumps(doc, indent=2), where doc holds _POINTS in
+    place of each point list, with the lists streamed from the bitmaps."""
+    parts = json.dumps(doc, indent=2).split(json.dumps(_POINTS))
+    yield parts[0]
+    for points, part in zip(bitmaps, parts[1:]):
+        yield from _point_list(points)
+        yield part
+
+
 def cmd_variety(args) -> int:
     op = parse_operator(args.x, args.n)
     shape = parse_shape(args.h, args.n)
     primes = parse_primes(args.p)
-    results = []
-    counts = []
-    for p in primes:
-        v = varieties.compute_variety(op, shape, p, override=args.force)
-        pts = [flag_text(flag_at(i, args.n, p)) for i in v.points.indices()]
-        counts.append(v.points.count)
-        results.append({"p": p, "count": v.points.count, "points": pts})
+    # Every search runs before any output: the counts and the fit need all
+    # of them, and a refused prime leaves no partial document or file.
+    bitmaps = [varieties.compute_variety(op, shape, p,
+                                         override=args.force).points
+               for p in primes]
+    counts = [b.count for b in bitmaps]
     fit = None
     if len(primes) >= 2:
         coeffs = varieties.interpolate(primes, counts,
                                        args.n * (args.n - 1) // 2)
         fit = varieties.poly_text(coeffs) if coeffs is not None else None
-    _emit(args, json.dumps({"schema": SCHEMA, "command": "variety",
-                            "operator": op.name, "n": args.n,
-                            "shape": _shape_json(shape),
-                            "results": results, "fit": fit}, indent=2))
+    doc = {"schema": SCHEMA, "command": "variety", "operator": op.name,
+           "n": args.n, "shape": _shape_json(shape),
+           "results": [{"p": p, "count": c, "points": _POINTS}
+                       for p, c in zip(primes, counts)],
+           "fit": fit}
+    _emit(args, _variety_text(doc, bitmaps))
     return 0
 
 
@@ -310,6 +358,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(json.dumps({"schema": SCHEMA, "failure": str(exc)}),
               file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone, as with `| head`. Point stdout at
+        # devnull so that the flush at exit does not fail again, and exit 1
+        # as Python does on a broken pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

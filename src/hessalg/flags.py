@@ -109,15 +109,18 @@ class FlagSet:
     def contains(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
 
-    def indices(self):
-        """Member indices in ascending order."""
-        out = []
+    def iter_indices(self):
+        """Yield the member indices in ascending order, one at a time."""
         data = self.bits.to_bytes((self.size + 7) // 8, "little")
         for k, byte in enumerate(data):
             if byte:
                 base = 8 * k
-                out.extend(base + b for b in _BYTE_BITS[byte])
-        return out
+                for b in _BYTE_BITS[byte]:
+                    yield base + b
+
+    def indices(self):
+        """Member indices in ascending order."""
+        return list(self.iter_indices())
 
     @staticmethod
     def from_indices(indices, n: int, p: int) -> "FlagSet":
@@ -303,14 +306,33 @@ def member_adjoint(x: Matrix, s: HessShape, f: Flag) -> bool:
     return all(m <= t for m, t in zip(profile(x, f), s.t))
 
 
+@lru_cache(maxsize=None)
+def _label_parts(w: tuple):
+    """The fixed parts of the labels of cell w: the '[e..]' head and the
+    'r<i>c<k>=' prefix of each free position."""
+    return ("[" + ",".join("e%d" % wk for wk in w) + "]",
+            tuple("r%dc%d=" % pos for pos in _free_positions(w)))
+
+
+def _cell_text(w, values) -> str:
+    """The label of the flag with cell w and the given free values: its
+    column list plus the nonzero free-parameter assignments."""
+    head, prefixes = _label_parts(tuple(w))
+    parts = [pre + str(v) for pre, v in zip(prefixes, values) if v]
+    if parts:
+        return head + " {" + ",".join(parts) + "}"
+    return head
+
+
 def flag_text(f: Flag) -> str:
     """Column list like '[e4,e2,e5]' plus nonzero free-parameter
     assignments, e.g. '[e2,e1] {r1c1=1}'."""
-    base = "[" + ",".join("e%d" % wk for wk in f.cell) + "]"
-    parts = []
-    for (i, k), v in zip(_free_positions(f.cell), f.values):
-        if v:
-            parts.append("r%dc%d=%d" % (i, k, v))
-    if parts:
-        return base + " {" + ",".join(parts) + "}"
-    return base
+    return _cell_text(f.cell, f.values)
+
+
+def point_labels(points: FlagSet):
+    """Yield the label of each member of a FlagSet, in index order,
+    without building its Flag."""
+    n, p = points.n, points.p
+    for index in points.iter_indices():
+        yield _cell_text(*flag_cell(index, n, p))

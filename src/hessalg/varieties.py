@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import JordanSpec, Matrix, jordan_matrix, jordan_spec
 from .flags import (FlagSet, _cell_offsets, bits_from_indices, check_guards,
@@ -362,6 +361,8 @@ def interpolate(primes, counts, max_degree: int | None = None):
         raise ValueError("need matching non-empty primes and counts")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
+    # Imported here: fractions loads decimal, which nothing else needs.
+    from fractions import Fraction
     newton = []
     for k, (pk, ck) in enumerate(zip(primes, counts)):
         # Newton divided differences.

@@ -1,14 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from hessalg import certificates
+from hessalg import certificates, varieties
 from hessalg.cli import main, parse_operator, parse_primes
+from hessalg.flags import flag_at, flag_text
+from hessalg.shapes import diagram_text, parse_shape, shape_text
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +62,10 @@ def test_parse_primes():
         parse_primes("3,3")
     with pytest.raises(ValueError, match="empty field"):
         parse_primes("2,")
+    with pytest.raises(ValueError) as err:
+        parse_primes("2,x")
+    assert str(err.value) == ("--p has a non-integer field 'x' in '2,x'; "
+                              "give primes separated by commas")
 
 
 @pytest.mark.parametrize("argv", [
@@ -122,6 +132,76 @@ def test_variety_peterson_fit(capsys):
                    "--h", "h:2,3,3", "--p", "2,3,5")
     assert [r["count"] for r in doc["results"]] == [9, 16, 36]
     assert doc["fit"] == "q^2+2q+1"
+
+
+def _reference_variety(n, x, h, primes, force=False):
+    """The variety document built whole, with every point labelled through
+    its Flag."""
+    op, shape = parse_operator(x, n), parse_shape(h, n)
+    results = []
+    for p in primes:
+        points = varieties.compute_variety(op, shape, p, override=force).points
+        results.append({"p": p, "count": points.count,
+                        "points": [flag_text(flag_at(i, n, p))
+                                   for i in points.indices()]})
+    fit = None
+    if len(primes) >= 2:
+        coeffs = varieties.interpolate(
+            primes, [r["count"] for r in results], n * (n - 1) // 2)
+        fit = varieties.poly_text(coeffs) if coeffs is not None else None
+    return json.dumps({"schema": "hessalg/1", "command": "variety",
+                       "operator": x, "n": n,
+                       "shape": {"h": shape_text(shape),
+                                 "yd": diagram_text(shape)},
+                       "results": results, "fit": fit}, indent=2) + "\n"
+
+
+FULL_5_2 = ["variety", "--n", "5", "--x", "jordan:0^5",
+            "--h", "h:5,5,5,5,5", "--p", "2"]  # 9,765 points
+
+
+@pytest.mark.parametrize("argv", [
+    FULL_5_2,
+    # x^2 + 1: no point at p = 3, two at p = 5.
+    ["variety", "--n", "2", "--x", "matrix:0,1;-1,0", "--h", "h:1,2",
+     "--p", "3,5"],
+    ["variety", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3",
+     "--p", "2,3,5"],
+    ["variety", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2",
+     "--p", "11", "--force"]])
+def test_variety_streams_the_same_bytes(capsys, tmp_path, argv):
+    n, x, h = int(argv[2]), argv[4], argv[6]
+    primes = parse_primes(argv[8])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _reference_variety(n, x, h, primes, "--force" in argv)
+    target = tmp_path / "variety.json"
+    code, stdout, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, stdout, err) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_variety_writes_nothing_before_every_search_succeeds(capsys,
+                                                             tmp_path):
+    target = tmp_path / "variety.json"
+    code, out, err = run_cli(capsys, "variety", "--n", "2",
+                             "--x", "jordan:0^2", "--h", "h:2,2",
+                             "--p", "2,11", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert "size guard" in json.loads(err)["error"]
+    assert not target.exists()
+
+
+def test_variety_memory_does_not_grow_with_the_points(tmp_path):
+    # Holding the 9,765 labels and the whole text peaked at 2.9 MiB.
+    tracemalloc.start()
+    try:
+        code = main(FULL_5_2 + ["--output", str(tmp_path / "variety.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 ** 20
 
 
 def test_variety_accepts_diagram_shape(capsys):
@@ -265,6 +345,34 @@ def test_output_file_option(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert len(target.read_text().strip().splitlines()) == 6
+
+
+def _run_module(*argv, **kwargs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "hessalg.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_an_unwritable_output_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    proc = _run_module("variety", "--n", "2", "--x", "jordan:0^2",
+                       "--h", "h:2,2", "--p", "2", "--output", str(target),
+                       stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    error = json.loads(err)["error"]
+    assert str(target) in error
+    assert "No such file or directory" in error
+
+
+def test_a_closed_pipe_exits_1_quietly():
+    proc = _run_module(*FULL_5_2, stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_outputs_are_stable_across_runs(capsys):

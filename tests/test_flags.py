@@ -9,7 +9,8 @@ from hessalg.flags import (FlagSet, canonical_columns, canonical_form, chain,
                            check_guards, flag_at, flag_cell, flag_text,
                            free_positions, identity_flag, inversions,
                            iter_flags, member, member_adjoint,
-                           permutation_flag, profile, q_factorial)
+                           permutation_flag, point_labels, profile,
+                           q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function)
 
@@ -294,6 +295,7 @@ def test_flagset_roundtrip():
     assert fs.size == 21
     assert fs.count == 3
     assert fs.indices() == [0, 2, 5]
+    assert list(fs.iter_indices()) == fs.indices()
     assert fs.contains(2) and not fs.contains(1)
 
 
@@ -306,11 +308,25 @@ def test_flagset_roundtrip_on_a_sparse_large_bitmap():
     assert fs.bits == sum(1 << i for i in picked)
     assert fs.count == len(picked)
     assert fs.indices() == picked
+    assert list(fs.iter_indices()) == picked
     assert FlagSet.from_indices([], 5, 3).indices() == []
     with pytest.raises(ValueError):
         FlagSet.from_indices([size], 5, 3)
     with pytest.raises(ValueError):
         FlagSet.from_indices([-1], 5, 3)
+
+
+def test_point_labels_equal_flag_text():
+    def check(fs):
+        assert list(point_labels(fs)) == [
+            flag_text(flag_at(i, fs.n, fs.p)) for i in fs.indices()]
+
+    for n, p in [(3, 3), (4, 2)]:
+        check(FlagSet.from_indices(range(q_factorial(n, p)), n, p))
+    rng = random.Random(11)
+    size = q_factorial(4, 3)
+    for k in (0, 1, 50, size // 2):
+        check(FlagSet.from_indices(rng.sample(range(size), k), 4, 3))
 
 
 def test_flag_at_inverts_the_enumeration_order():
