@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import (JordanSpec, Matrix, antitranspose, image_subspace,
-                    inverse_rows, jordan_matrix, regular_nilpotent,
-                    similarity_transform, subspace_le)
+from .field import (JordanSpec, Matrix, antitranspose, inverse_rows,
+                    jordan_matrix, regular_nilpotent, similarity_transform)
 from .flags import (Flag, _flag_index, _rep_rows, canonical_columns,
-                    canonical_form, flag_at, flag_cell, flag_text,
-                    inversions, member, profile)
+                    canonical_form, chain_contains, chain_images,
+                    chain_member, flag_at, flag_cell, flag_text, inversions,
+                    profile)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
@@ -36,15 +36,18 @@ def check_lemma(x: Matrix, flag, i: int, j: int):
     (3) X F_i not inside F_{j-1}.
     Returns ((c1, c2, c3), verdict)."""
     f = flag if isinstance(flag, Flag) else canonical_form(flag)
-    n = f.n
-    if not 1 <= i < j <= n:
+    if not 1 <= i < j <= f.n:
         raise ValueError("need 1 <= i < j <= n")
-    spans = f.spans
-    c1 = all(subspace_le(image_subspace(x, spans[k]), spans[k])
-             for k in list(range(1, i)) + list(range(j + 1, n + 1)))
-    img_i = image_subspace(x, spans[i])
-    c2 = subspace_le(img_i, spans[j])
-    c3 = not subspace_le(img_i, spans[j - 1])
+    return lemma_conditions(tuple(chain_images(x, f)), f, i, j)
+
+
+def lemma_conditions(images, f: Flag, i: int, j: int):
+    """check_lemma's conditions and verdict, read from the chain images
+    X F_0, ..., X F_n of f."""
+    c1 = chain_contains(((images[k], k) for k in range(1, f.n + 1)
+                         if not i <= k <= j), f)
+    c2 = chain_contains([(images[i], j)], f)
+    c3 = not chain_contains([(images[i], j - 1)], f)
     return (c1, c2, c3), (c1 and c2 and c3)
 
 
@@ -215,15 +218,16 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
     i, j = pair
     f, memberships = _witness_entry(spec, i, j)
     memberships = dict(memberships)
-    x = jordan_matrix(spec)
-    # The witness is shared between calls; the lemma and the two
-    # memberships the certificate rests on are re-checked on every call.
-    checks, verdict = check_lemma(x, f, i, j)
+    # The witness is shared between calls. Its chain images are computed
+    # afresh on every call, once, and the lemma and the two memberships the
+    # certificate rests on are re-checked from them.
+    images = tuple(chain_images(jordan_matrix(spec), f))
+    checks, verdict = lemma_conditions(images, f, i, j)
     if not verdict:
         raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
                            % (i, j, flag_text(f)))
     for s in (s1, s2):
-        if member(x, s, f) != memberships[shape_text(s)]:
+        if chain_member(images, s, f) != memberships[shape_text(s)]:
             raise RuntimeError(
                 "profile and chain membership disagree on %s at flag %s"
                 % (shape_text(s), flag_text(f)))

@@ -19,7 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .field import Matrix, Subspace, inv_mod, span_of
+from .field import (Matrix, Subspace, image_subspace, inv_mod, span_of,
+                    subspace_le)
 from .shapes import HessShape
 
 GUARD_MAX_N = 6
@@ -261,16 +262,31 @@ def chain(f: Flag, k: int) -> Subspace:
     return f.spans[k]
 
 
-def member(x: Matrix, s: HessShape, f: Flag) -> bool:
-    """Flag-chain membership test: X F_j contained in F_{t_j} for all j."""
-    from .field import image_subspace, subspace_le
+def chain_images(x: Matrix, f: Flag):
+    """The images X F_0, ..., X F_n of the chain of f, as an iterator that
+    computes each image when it is reached."""
     if x.p != f.p or x.nrows != f.n:
         raise ValueError("size or modulus mismatch")
-    for j in range(1, f.n + 1):
-        img = image_subspace(x, chain(f, j))
-        if not subspace_le(img, chain(f, s.t[j - 1])):
-            return False
-    return True
+    return (image_subspace(x, v) for v in f.spans)
+
+
+def chain_contains(pairs, f: Flag) -> bool:
+    """Whether V lies in F_m for every (V, m) in pairs, stopping at the
+    first that does not. The one chain containment test: membership and
+    the witness lemma are both read through it."""
+    spans = f.spans
+    return all(subspace_le(v, spans[m]) for v, m in pairs)
+
+
+def chain_member(images, s: HessShape, f: Flag) -> bool:
+    """Flag-chain membership read from the chain images X F_0, X F_1, ...
+    of f: X F_j contained in F_{t_j} for all j."""
+    return chain_contains(zip(itertools.islice(images, 1, None), s.t), f)
+
+
+def member(x: Matrix, s: HessShape, f: Flag) -> bool:
+    """Flag-chain membership test: X F_j contained in F_{t_j} for all j."""
+    return chain_member(chain_images(x, f), s, f)
 
 
 def profile(x: Matrix, f: Flag) -> tuple:

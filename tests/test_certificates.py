@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hessalg import certificates
+from hessalg import certificates, flags
 from hessalg.field import (Matrix, antitranspose, inverse_rows,
                            jordan_matrix, jordan_spec, regular_nilpotent,
                            similarity_transform, span_of, w0_matrix)
@@ -155,9 +155,9 @@ def test_profile_and_chain_disagreement_is_an_error(monkeypatch):
     spec = jordan_spec([(0, 3)], 2)
     s1, s2 = borel_shape(3), shape_from_function([2, 3, 3])
     cert = certify_distinct(spec, s1, s2)
-    real = certificates.member
-    monkeypatch.setattr(certificates, "member",
-                        lambda x, s, f: not real(x, s, f))
+    real = certificates.chain_member
+    monkeypatch.setattr(certificates, "chain_member",
+                        lambda images, s, f: not real(images, s, f))
     with pytest.raises(RuntimeError) as err:
         certify_distinct(spec, s1, s2)
     assert shape_text(s1) in str(err.value)
@@ -323,11 +323,35 @@ def test_the_lemma_is_rechecked_on_a_memoized_witness(monkeypatch):
     s1, s2 = borel_shape(3), shape_from_function([2, 3, 3])
     certify_distinct(spec, s1, s2)
     hits = certificates._witness_entry.cache_info().hits
-    monkeypatch.setattr(certificates, "check_lemma",
-                        lambda x, f, i, j: ((True, True, False), False))
+    monkeypatch.setattr(certificates, "lemma_conditions",
+                        lambda images, f, i, j: ((True, True, False), False))
     with pytest.raises(RuntimeError, match="lemma"):
         certify_distinct(spec, s1, s2)
     assert certificates._witness_entry.cache_info().hits == hits + 1
+
+
+def test_chain_images_are_computed_once_per_call_and_on_every_call(
+        monkeypatch):
+    spec = jordan_spec([(1, 2), (0, 3)], 2)
+    strict = enumerate_shapes(5, strict_only=True)
+    s1, s2 = strict[3], strict[-1]
+    certify_distinct(spec, s1, s2)  # builds and memoizes the witness
+    hits = certificates._witness_entry.cache_info().hits
+    calls = []
+    real = flags.image_subspace
+
+    def counted(x, v):
+        calls.append(v)
+        return real(x, v)
+
+    monkeypatch.setattr(flags, "image_subspace", counted)
+    first = certify_distinct(spec, s1, s2)
+    once = len(calls)
+    second = certify_distinct(spec, s1, s2)
+    assert certificates._witness_entry.cache_info().hits == hits + 2
+    assert second == first
+    assert 0 < once <= 5 + 1
+    assert len(calls) == 2 * once
 
 
 def test_certificates_do_not_share_memberships():

@@ -1,15 +1,29 @@
-import pytest
+import random
+from collections import Counter
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hessalg import varieties
+from hessalg.certificates import verify_involution
 from hessalg.field import regular_nilpotent
 from hessalg.flags import flag_text, iter_flags, member, q_factorial
-from hessalg.shapes import (borel_shape, diagram_text, full_shape,
-                            peterson_shape, shape_from_function, shape_text)
+from hessalg.shapes import (borel_shape, diagram_text, enumerate_shapes,
+                            full_shape, peterson_shape, shape_from_function,
+                            shape_text, transpose_shape)
 from hessalg.varieties import (EQUAL, INCOMPARABLE, PROPERLY_CONTAINED,
                                PROPERLY_CONTAINS, OperatorSpec, build_poset,
                                compare, compute_variety, interpolate,
                                jordan_operator, matrix_operator, point_counts,
                                poly_text, variety_bitmaps,
                                x_equivalence_classes)
+
+
+def cold_bitmaps(x, shapes, n, p):
+    """variety_bitmaps from a fresh search, with the memo cleared."""
+    varieties._hull_memo.clear()
+    return variety_bitmaps(x, shapes, n, p)
 
 
 def point_names(variety):
@@ -147,9 +161,10 @@ def test_bitmaps_are_stable_across_runs_and_shape_lists():
     shapes = [peterson_shape(4), borel_shape(4), full_shape(4)]
     x = op.matrix(2)
     base = [b.bits for b in variety_bitmaps(x, shapes, 4, 2)]
+    varieties._hull_memo.clear()
     assert [b.bits for b in variety_bitmaps(x, shapes, 4, 2)] == base
     # One shape at a time prunes harder; the bitmaps must not change.
-    assert [variety_bitmaps(x, [s], 4, 2)[0].bits for s in shapes] == base
+    assert [cold_bitmaps(x, [s], 4, 2)[0].bits for s in shapes] == base
 
 
 # --- comparison ------------------------------------------------------------------
@@ -277,3 +292,131 @@ def test_poly_text_edge_cases():
     assert poly_text([0]) == "0"
     assert poly_text([5]) == "5"
     assert poly_text([0, 0, 3]) == "3q^2"
+
+
+# --- the hull-table memo -----------------------------------------------------------
+
+SLOW = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def small_operators(draw, n):
+    """Jordan operators with integer eigenvalues, and integer matrices drawn
+    from a seeded random generator."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        return matrix_operator([[rng.randint(-6, 6) for _ in range(n)]
+                                for _ in range(n)])
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    return jordan_operator([(draw(st.integers(-2, 2)), size)
+                            for size in sizes])
+
+
+@settings(SLOW, max_examples=40)
+@given(st.data(), st.integers(1, 4), st.sampled_from([2, 3, 5]),
+       st.booleans())
+def test_the_hull_memo_never_changes_a_bitmap(data, n, p, strict_only):
+    # Random requests on one context, so that the memo hits, grows and
+    # jumps; each result equals the one from an empty memo.
+    op = data.draw(small_operators(n))
+    x = op.matrix(p)
+    shapes = enumerate_shapes(n)
+    requests = data.draw(st.lists(
+        st.lists(st.sampled_from(shapes), min_size=1, max_size=3,
+                 unique=True), min_size=1, max_size=6))
+    varieties._hull_memo.clear()
+    warm = [[b.bits for b in variety_bitmaps(x, shapes, n, p)]
+            for shapes in requests]
+    warm_poset = build_poset(op, (p,), strict_only)
+    cold = [[b.bits for b in cold_bitmaps(x, shapes, n, p)]
+            for shapes in requests]
+    varieties._hull_memo.clear()
+    assert warm == cold
+    assert warm_poset == build_poset(op, (p,), strict_only)
+
+
+def test_a_context_is_searched_at_most_n_plus_one_times(monkeypatch):
+    searches = Counter()
+    real = varieties._profile_groups
+
+    def counted(x, n, p, bound):
+        searches[x] += 1
+        return real(x, n, p, bound)
+
+    monkeypatch.setattr(varieties, "_profile_groups", counted)
+    # X and w0 X^T w0 differ here, so the sweep uses two contexts.
+    op = jordan_operator([(1, 2), (0, 1)])
+    shapes = enumerate_shapes(3)
+    assert len(shapes) == 20
+    for s in shapes:
+        assert verify_involution(op, s, 5).ok
+    assert len(searches) == 2
+    assert max(searches.values()) <= 3 + 1
+
+
+def test_a_table_over_the_index_cap_is_not_stored(monkeypatch):
+    monkeypatch.setattr(varieties, "HULL_MEMO_INDICES", 100)
+    x = regular_nilpotent(4, 2)
+    full = variety_bitmaps(x, [full_shape(4)], 4, 2)[0]
+    assert full.count == 315
+    assert not varieties._hull_memo
+    small = variety_bitmaps(x, [peterson_shape(4)], 4, 2)[0]
+    assert small.count == 27
+    ((bound, hulls, stored),) = varieties._hull_memo.values()
+    assert stored == 27 == sum(len(idx) for idx in hulls.values())
+    # The context has more flags than the cap, so a request the stored
+    # table does not cover searches under its own bound, without a jump.
+    wide = variety_bitmaps(x, [shape_from_function([3, 4, 4, 4])], 4, 2)[0]
+    assert wide.count == 7 * 7 * 3
+    assert not varieties._hull_memo
+    assert variety_bitmaps(x, [full_shape(4)], 4, 2)[0] == full
+
+
+def test_the_memo_keeps_its_entry_bound_least_recently_used_first(
+        monkeypatch):
+    monkeypatch.setattr(varieties, "HULL_MEMO_SIZE", 3)
+    ops = [jordan_operator(blocks).matrix(2)
+           for blocks in ([(0, 3)], [(1, 3)], [(1, 2), (0, 1)],
+                          [(1, 1), (0, 2)], [(1, 1), (0, 1), (0, 1)])]
+    assert len(set(ops)) == len(ops)
+
+    def held():
+        return [key[0] for key in varieties._hull_memo]
+
+    for x in ops[:3]:
+        variety_bitmaps(x, [peterson_shape(3)], 3, 2)
+    assert held() == ops[:3]
+    # A hit (the Borel shape lies below the Peterson shape) makes the
+    # table the most recently used one.
+    variety_bitmaps(ops[0], [borel_shape(3)], 3, 2)
+    assert held() == [ops[1], ops[2], ops[0]]
+    variety_bitmaps(ops[3], [peterson_shape(3)], 3, 2)
+    assert held() == [ops[2], ops[0], ops[3]]
+    variety_bitmaps(ops[4], [peterson_shape(3)], 3, 2)
+    assert held() == [ops[0], ops[3], ops[4]]
+
+
+# --- the paper's involution as an automorphism of P_X --------------------------------
+
+@settings(SLOW, max_examples=30)
+@given(st.data(), st.integers(1, 4), st.sampled_from([(2,), (3,), (2, 3)]),
+       st.booleans())
+def test_transposing_shapes_is_an_automorphism_of_the_poset(
+        data, n, primes, strict_only):
+    # s -> s^T maps Hess(X, s) onto Hess(X, s^T) by one bijection of G/B,
+    # so it permutes the classes, keeps every count and keeps the covers.
+    op = data.draw(small_operators(n))
+    poset = build_poset(op, primes, strict_only)
+    by_name = {c.name: c for c in poset.classes}
+    class_of = {s: c.name for c in poset.classes for s in c.shapes}
+    image = {}
+    for c in poset.classes:
+        (target,) = {class_of[transpose_shape(s)] for s in c.shapes}
+        d = by_name[target]
+        assert {transpose_shape(s) for s in c.shapes} == set(d.shapes)
+        assert [b.count for b in c.bitmaps] == [b.count for b in d.bitmaps]
+        image[c.name] = target
+    assert sorted(image.values()) == sorted(image)
+    assert {(image[a], image[b]) for a, b in poset.hasse} == set(poset.hasse)
