@@ -38,16 +38,16 @@ def check_lemma(x: Matrix, flag, i: int, j: int):
     f = flag if isinstance(flag, Flag) else canonical_form(flag)
     if not 1 <= i < j <= f.n:
         raise ValueError("need 1 <= i < j <= n")
-    return lemma_conditions(tuple(chain_images(x, f)), f, i, j)
+    return lemma_conditions(chain_images(x, f), f, i, j)
 
 
 def lemma_conditions(images, f: Flag, i: int, j: int):
     """check_lemma's conditions and verdict, read from the chain images
-    X F_0, ..., X F_n of f."""
-    c1 = chain_contains(((images[k], k) for k in range(1, f.n + 1)
-                         if not i <= k <= j), f)
-    c2 = chain_contains([(images[i], j)], f)
-    c3 = not chain_contains([(images[i], j - 1)], f)
+    of f (flags.chain_images)."""
+    c1 = chain_contains(images, ((k, k) for k in range(1, f.n + 1)
+                                 if not i <= k <= j), f)
+    c2 = chain_contains(images, [(i, j)], f)
+    c3 = not chain_contains(images, [(i, j - 1)], f)
     return (c1, c2, c3), (c1 and c2 and c3)
 
 
@@ -219,9 +219,9 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
     f, memberships = _witness_entry(spec, i, j)
     memberships = dict(memberships)
     # The witness is shared between calls. Its chain images are computed
-    # afresh on every call, once, and the lemma and the two memberships the
-    # certificate rests on are re-checked from them.
-    images = tuple(chain_images(jordan_matrix(spec), f))
+    # afresh on every call, each at most once, and the lemma and the two
+    # memberships the certificate rests on are re-checked from them.
+    images = chain_images(jordan_matrix(spec), f)
     checks, verdict = lemma_conditions(images, f, i, j)
     if not verdict:
         raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"

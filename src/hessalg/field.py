@@ -13,7 +13,7 @@ matching the usual matrix-display convention. Internal storage is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def is_prime(p: int) -> bool:
@@ -110,7 +110,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         p = self.p
-        return tuple(sum(r[k] * vec[k] for k in range(len(vec))) % p
+        return tuple(sum(a * b for a, b in zip(r, vec)) % p
                      for r in self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -215,14 +215,13 @@ class Subspace:
     p: int
     ambient: int
     basis: tuple  # tuple of column vectors, each of length `ambient`
+    # 0-based row index of the leading 1 in each basis column, kept from
+    # the reduction that built the basis (which alone determines it).
+    pivot_rows: tuple = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def pivot_rows(self) -> tuple:
-        """0-based row index of the leading 1 in each basis column."""
-        return tuple(next(i for i, x in enumerate(col) if x) for col in self.basis)
 
     def reduce(self, vec) -> tuple:
         """Residual of vec after reduction against the basis."""
@@ -230,7 +229,7 @@ class Subspace:
         if len(v) != self.ambient:
             raise ValueError("ambient mismatch")
         p = self.p
-        for col, r in zip(self.basis, self.pivot_rows()):
+        for col, r in zip(self.basis, self.pivot_rows):
             c = v[r]
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, col)]
@@ -249,8 +248,9 @@ def span_of(vectors, ambient: int, p: int) -> Subspace:
         if len(v) != ambient:
             raise ValueError("vector length != ambient dimension")
     # Reduced row echelon on the spanning vectors, then read rows as columns.
-    rank = len(_rref(rows, ambient, p))
-    return Subspace(p, ambient, tuple(tuple(r) for r in rows[:rank]))
+    pivots = tuple(_rref(rows, ambient, p))
+    return Subspace(p, ambient, tuple(tuple(r) for r in rows[:len(pivots)]),
+                    pivots)
 
 
 def canonicalize_span(cols: Matrix) -> Subspace:

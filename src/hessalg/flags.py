@@ -19,8 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .field import (Matrix, Subspace, image_subspace, inv_mod, span_of,
-                    subspace_le)
+from .field import Matrix, Subspace, inv_mod, span_of
 from .shapes import HessShape
 
 GUARD_MAX_N = 6
@@ -262,26 +261,49 @@ def chain(f: Flag, k: int) -> Subspace:
     return f.spans[k]
 
 
-def chain_images(x: Matrix, f: Flag):
-    """The images X F_0, ..., X F_n of the chain of f, as an iterator that
-    computes each image when it is reached."""
+class ChainImages:
+    """The images X c_1, ..., X c_n of the columns of the canonical
+    representative of a flag, read by 0-based position. X F_k is their
+    span for the first k, so a chain containment is tested on them and
+    X F_k itself is never built. Each image is computed when it is first
+    read and kept for later reads."""
+
+    __slots__ = ("x", "cols", "vectors")
+
+    def __init__(self, x: Matrix, f: Flag):
+        self.x = x
+        self.cols = tuple(zip(*f.rep.rows))
+        self.vectors = [None] * f.n
+
+    def __getitem__(self, k: int) -> tuple:
+        v = self.vectors[k]
+        if v is None:
+            v = self.vectors[k] = self.x.apply(self.cols[k])
+        return v
+
+
+def chain_images(x: Matrix, f: Flag) -> ChainImages:
+    """The images of the columns of the representative of f under X, each
+    computed when it is first read."""
     if x.p != f.p or x.nrows != f.n:
         raise ValueError("size or modulus mismatch")
-    return (image_subspace(x, v) for v in f.spans)
+    return ChainImages(x, f)
 
 
-def chain_contains(pairs, f: Flag) -> bool:
-    """Whether V lies in F_m for every (V, m) in pairs, stopping at the
-    first that does not. The one chain containment test: membership and
-    the witness lemma are both read through it."""
+def chain_contains(images: ChainImages, pairs, f: Flag) -> bool:
+    """Whether X F_k lies in F_m for every (k, m) in pairs, stopping at the
+    first that does not: X c_1, ..., X c_k must all lie in F_m. The one
+    chain containment test: membership and the witness lemma are both read
+    through it."""
     spans = f.spans
-    return all(subspace_le(v, spans[m]) for v, m in pairs)
+    return all(spans[m].contains(images[c]) for k, m in pairs
+               for c in range(k))
 
 
-def chain_member(images, s: HessShape, f: Flag) -> bool:
-    """Flag-chain membership read from the chain images X F_0, X F_1, ...
-    of f: X F_j contained in F_{t_j} for all j."""
-    return chain_contains(zip(itertools.islice(images, 1, None), s.t), f)
+def chain_member(images: ChainImages, s: HessShape, f: Flag) -> bool:
+    """Flag-chain membership read from the chain images of f: X F_j
+    contained in F_{t_j} for all j."""
+    return chain_contains(images, enumerate(s.t, start=1), f)
 
 
 def member(x: Matrix, s: HessShape, f: Flag) -> bool:

@@ -213,6 +213,10 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
                       rank * p ** pos + local, nxt)
 
     place(0, list(range(n)), 0, [])
+    # place refers to itself through its closure cell; emptying the cell
+    # frees the search's environment now rather than at the next cyclic
+    # garbage collection.
+    del place
     return groups
 
 

@@ -4,20 +4,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hessalg import certificates, flags
-from hessalg.field import (Matrix, antitranspose, inverse_rows,
-                           jordan_matrix, jordan_spec, regular_nilpotent,
-                           similarity_transform, span_of, w0_matrix)
-from hessalg.flags import (canonical_columns, canonical_form, chain, flag_at,
-                           flag_text, identity_flag, iter_flags, member,
+from hessalg import certificates
+from hessalg.field import (Matrix, antitranspose, image_subspace,
+                           inverse_rows, jordan_matrix, jordan_spec,
+                           regular_nilpotent, similarity_transform, span_of,
+                           subspace_le, w0_matrix)
+from hessalg.flags import (canonical_columns, canonical_form, chain,
+                           chain_contains, chain_images, flag_at, flag_text,
+                           identity_flag, iter_flags, member,
                            permutation_flag, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function, shape_text,
                             transpose_shape)
 from hessalg.varieties import (jordan_operator, matrix_operator,
                                variety_bitmaps)
-from hessalg.certificates import (InvolutionReport, certify_distinct,
-                                  check_lemma, indecomposable_interval,
+from hessalg.certificates import (InvolutionReport, build_witness,
+                                  certify_distinct, check_lemma, indecomposable_interval,
                                   involution_image, product_flag, split_flag,
                                   verify_decomposition, verify_involution,
                                   witness_flag)
@@ -65,6 +67,43 @@ def test_check_lemma_validates_pair():
         check_lemma(x, identity_flag(3, 2), 2, 2)
     with pytest.raises(ValueError):
         check_lemma(x, identity_flag(3, 2), 0, 2)
+
+
+@st.composite
+def chain_operators(draw, n, p):
+    """Jordan operators, and integer operators from a seeded generator."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        return Matrix.from_rows([[rng.randint(-12, 12) for _ in range(n)]
+                                 for _ in range(n)], p)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    return jordan_matrix(jordan_spec(
+        [(draw(st.integers(0, p - 1)), size) for size in sizes], p))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data(), st.integers(1, 4), st.sampled_from([2, 3, 5]))
+def test_the_generator_route_equals_the_canonical_route(data, n, p):
+    # X F_k is tested on the images of the first k columns of the
+    # representative; the canonical route builds X F_k as a subspace.
+    x = data.draw(chain_operators(n, p))
+    f = flag_at(data.draw(st.integers(0, q_factorial(n, p) - 1)), n, p)
+    spans = [chain(f, k) for k in range(n + 1)]
+    xspans = [image_subspace(x, v) for v in spans]
+    images = chain_images(x, f)
+    for k in range(n + 1):
+        for m in range(n + 1):
+            assert (chain_contains(images, [(k, m)], f)
+                    == subspace_le(xspans[k], spans[m]))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            checks = (all(subspace_le(xspans[k], spans[k])
+                          for k in range(1, n + 1) if not i <= k <= j),
+                      subspace_le(xspans[i], spans[j]),
+                      not subspace_le(xspans[i], spans[j - 1]))
+            assert check_lemma(x, f, i, j) == (checks, all(checks))
 
 
 # --- witness flags ------------------------------------------------------------
@@ -149,6 +188,34 @@ def test_witness_memberships_equal_the_chain_oracle_at_rank_five(data, p):
     assert cert.memberships == {shape_text(s): member(x, s, cert.flag)
                                 for s in STRICT_5}
     assert cert.in_first != cert.in_second
+
+
+def _partitions(k, largest=None):
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
+def test_the_distinctness_theorem_at_rank_five_over_f2():
+    # Every non-scalar Jordan type, every pair i < j and every strict
+    # shape: the witness lies in Hess(X, s) exactly when t_i >= j.
+    specs = [jordan_spec([(0, a) for a in zero] + [(1, b) for b in one], 2)
+             for k in range(6)
+             for zero in _partitions(k) for one in _partitions(5 - k)]
+    specs = [spec for spec in specs if not spec.is_scalar()]
+    assert len(specs) == 34 and len(STRICT_5) == 42
+    for spec in specs:
+        x = jordan_matrix(spec)
+        for i in range(1, 6):
+            for j in range(i + 1, 6):
+                a, f, checks = build_witness(spec, i, j)
+                assert checks == (True, True, True)
+                assert check_lemma(x, a, i, j)[1]
+                for s in STRICT_5:
+                    assert member(x, s, f) == (s.t[i - 1] >= j)
 
 
 def test_profile_and_chain_disagreement_is_an_error(monkeypatch):
@@ -338,19 +405,21 @@ def test_chain_images_are_computed_once_per_call_and_on_every_call(
     certify_distinct(spec, s1, s2)  # builds and memoizes the witness
     hits = certificates._witness_entry.cache_info().hits
     calls = []
-    real = flags.image_subspace
+    real = Matrix.apply
 
-    def counted(x, v):
-        calls.append(v)
-        return real(x, v)
+    def counted(x, vec):
+        calls.append(vec)
+        return real(x, vec)
 
-    monkeypatch.setattr(flags, "image_subspace", counted)
+    # The chain images are the images X c_k of the witness's columns,
+    # each computed with Matrix.apply.
+    monkeypatch.setattr(Matrix, "apply", counted)
     first = certify_distinct(spec, s1, s2)
     once = len(calls)
     second = certify_distinct(spec, s1, s2)
     assert certificates._witness_entry.cache_info().hits == hits + 2
     assert second == first
-    assert 0 < once <= 5 + 1
+    assert 0 < once <= 5
     assert len(calls) == 2 * once
 
 

@@ -88,6 +88,20 @@ def test_canonical_form_is_span_invariant(p, n, rng):
     assert span_of(mixed, n, p) == s
 
 
+def test_stored_pivot_rows_are_the_leading_rows_of_the_basis():
+    rng = random.Random(0xB1F0)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        p = rng.choice([2, 3, 5])
+        vecs = [[rng.randrange(p) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 1))]
+        v = span_of(vecs, n, p)
+        assert v.pivot_rows == tuple(next(i for i, x in enumerate(col) if x)
+                                     for col in v.basis)
+        again = span_of(list(reversed(vecs)), n, p)
+        assert again == v and hash(again) == hash(v)
+
+
 def test_subspace_le_examples():
     zero = zero_subspace(3, 2)
     e1 = span_of([(1, 0, 0)], 3, 2)

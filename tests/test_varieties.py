@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -123,6 +124,18 @@ def test_peterson_variety_against_chain_oracle():
         x = regular_nilpotent(3, p)
         oracle = [f.index for f in iter_flags(3, p) if member(x, s, f)]
         assert v.points.indices() == oracle
+
+
+def test_a_search_leaves_nothing_to_the_cyclic_collector():
+    x = regular_nilpotent(4, 3)
+    shape = shape_from_function([2, 3, 4, 4])
+    gc.collect()
+    gc.disable()
+    try:
+        variety_bitmaps(x, [shape], 4, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_variety_rejects_rank_mismatch():
