@@ -6,23 +6,22 @@ certificates: witness flags separating strict shapes, the antidiagonal
 involution, and the regular-nilpotent product decomposition.
 """
 
-from .field import (JordanSpec, Matrix, Subspace, antitranspose,
-                    canonicalize_span, conjugate, image_subspace,
-                    jordan_matrix, jordan_spec, regular_nilpotent,
-                    similarity_transform, span_of, subspace_le, w0_matrix,
-                    zero_subspace)
+from .field import (JordanSpec, Matrix, Subspace, antitranspose, conjugate,
+                    image_subspace, jordan_matrix, jordan_spec,
+                    regular_nilpotent, similarity_transform, span_of,
+                    subspace_le, zero_subspace)
 from .shapes import (HessShape, YoungDiagram, borel_shape, diagram_text,
                      enumerate_shapes, full_shape, is_strict, parse_shape,
                      peterson_shape, shape_from_diagram, shape_from_function,
                      shape_hasse, shape_le, shape_text, shape_to_diagram,
                      negative_root_set, split_shape, transpose_shape)
 from .flags import (Flag, FlagSet, canonical_form, chain, flag_text,
-                    identity_flag, iter_flags, member, member_adjoint,
-                    permutation_flag, q_factorial)
-from .varieties import (OperatorSpec, PosetPX, Variety, build_poset, compare,
+                    identity_flag, iter_flags, member, permutation_flag,
+                    q_factorial)
+from .varieties import (OperatorSpec, PosetPX, Variety, build_poset,
                         compute_variety, interpolate, jordan_operator,
                         matrix_operator, point_counts, poly_text,
-                        variety_bitmaps, x_equivalence_classes)
+                        variety_bitmaps)
 from .certificates import (DecompositionReport, InvolutionReport,
                            WitnessCertificate, certify_distinct, check_lemma,
                            indecomposable_interval, involution_image,

@@ -219,8 +219,8 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
     f, memberships = _witness_entry(spec, i, j)
     memberships = dict(memberships)
     # The witness is shared between calls. Its chain images are computed
-    # afresh on every call, each at most once, and the lemma and the two
-    # memberships the certificate rests on are re-checked from them.
+    # afresh on every call, and the lemma and the two memberships the
+    # certificate rests on are re-checked from them.
     images = chain_images(jordan_matrix(spec), f)
     checks, verdict = lemma_conditions(images, f, i, j)
     if not verdict:

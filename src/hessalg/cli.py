@@ -18,7 +18,7 @@ from . import certificates, varieties
 from .field import jordan_matrix
 from .flags import GUARD_PRIMES, point_labels
 from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,
-                     negative_root_set, parse_shape, shape_text,
+                     negative_root_set, parse_ints, parse_shape, shape_text,
                      shape_to_diagram)
 
 SCHEMA = "hessalg/1"
@@ -49,16 +49,7 @@ def parse_operator(text: str, n: int) -> varieties.OperatorSpec:
 
 
 def parse_primes(text: str):
-    primes = []
-    for field in text.split(","):
-        try:
-            primes.append(int(field))
-        except ValueError:
-            what = ("a non-integer field %r" % field if field
-                    else "an empty field")
-            raise ValueError("--p has %s in %r; give primes separated by "
-                             "commas" % (what, text)) from None
-    primes = tuple(primes)
+    primes = tuple(parse_ints(text, text, "--p", "primes"))
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     return primes

@@ -2,8 +2,7 @@
 
 Scalars are plain Python ints in ``range(p)``; the modulus travels with
 every Matrix and Subspace value. Matrices are immutable (tuples of row
-tuples) and all operations return new values, so everything here is safe
-to share between workers.
+tuples) and all operations return new values.
 
 Public matrix indices are 1-based (``entry(i, j)`` with i the row),
 matching the usual matrix-display convention. Internal storage is
@@ -13,7 +12,7 @@ matching the usual matrix-display convention. Internal storage is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def is_prime(p: int) -> bool:
@@ -198,11 +197,6 @@ def antitranspose(m: Matrix) -> Matrix:
         for i in range(n)))
 
 
-def w0_matrix(n: int, p: int) -> Matrix:
-    """The antidiagonal permutation matrix (longest Weyl element)."""
-    return Matrix.permutation(tuple(range(n, 0, -1)), p)
-
-
 # ---------------------------------------------------------------------------
 # Subspaces in canonical reduced column-echelon form.
 # ---------------------------------------------------------------------------
@@ -210,14 +204,15 @@ def w0_matrix(n: int, p: int) -> Matrix:
 @dataclass(frozen=True)
 class Subspace:
     """Canonical basis: pivot rows strictly increasing, pivots 1, pivot rows
-    otherwise zero. Two subspaces are equal as sets iff they compare equal."""
+    otherwise zero, so two values are equal iff they are the same subspace."""
 
     p: int
     ambient: int
     basis: tuple  # tuple of column vectors, each of length `ambient`
     # 0-based row index of the leading 1 in each basis column, kept from
-    # the reduction that built the basis (which alone determines it).
-    pivot_rows: tuple = field(compare=False, repr=False)
+    # the reduction that built the basis. The basis alone determines it, so
+    # it does not change which subspaces are equal.
+    pivot_rows: tuple
 
     @property
     def dim(self) -> int:
@@ -253,17 +248,8 @@ def span_of(vectors, ambient: int, p: int) -> Subspace:
                     pivots)
 
 
-def canonicalize_span(cols: Matrix) -> Subspace:
-    """Canonical basis of the column span of a matrix."""
-    return span_of(cols.columns(), cols.nrows, cols.p)
-
-
 def zero_subspace(ambient: int, p: int) -> Subspace:
     return span_of([], ambient, p)
-
-
-def full_subspace(ambient: int, p: int) -> Subspace:
-    return canonicalize_span(Matrix.identity(ambient, p))
 
 
 def subspace_le(a: Subspace, b: Subspace) -> bool:
@@ -292,8 +278,8 @@ def conjugate(x: Matrix, g: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class JordanSpec:
     """Jordan block data (eigenvalue residue, block size), canonically
-    ordered by descending eigenvalue then descending block size so equal
-    specs compare equal."""
+    ordered by descending eigenvalue then descending block size, so specs
+    of the same operator are equal."""
 
     p: int
     blocks: tuple  # tuple of (eigenvalue, size)

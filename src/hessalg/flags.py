@@ -261,36 +261,16 @@ def chain(f: Flag, k: int) -> Subspace:
     return f.spans[k]
 
 
-class ChainImages:
-    """The images X c_1, ..., X c_n of the columns of the canonical
-    representative of a flag, read by 0-based position. X F_k is their
-    span for the first k, so a chain containment is tested on them and
-    X F_k itself is never built. Each image is computed when it is first
-    read and kept for later reads."""
-
-    __slots__ = ("x", "cols", "vectors")
-
-    def __init__(self, x: Matrix, f: Flag):
-        self.x = x
-        self.cols = tuple(zip(*f.rep.rows))
-        self.vectors = [None] * f.n
-
-    def __getitem__(self, k: int) -> tuple:
-        v = self.vectors[k]
-        if v is None:
-            v = self.vectors[k] = self.x.apply(self.cols[k])
-        return v
-
-
-def chain_images(x: Matrix, f: Flag) -> ChainImages:
-    """The images of the columns of the representative of f under X, each
-    computed when it is first read."""
+def chain_images(x: Matrix, f: Flag) -> tuple:
+    """The images X c_1, ..., X c_n of the columns of the representative
+    of f, read by 0-based position. X F_k is the span of the first k, so a
+    chain containment is tested on them and X F_k itself is never built."""
     if x.p != f.p or x.nrows != f.n:
         raise ValueError("size or modulus mismatch")
-    return ChainImages(x, f)
+    return tuple(x.apply(c) for c in zip(*f.rep.rows))
 
 
-def chain_contains(images: ChainImages, pairs, f: Flag) -> bool:
+def chain_contains(images, pairs, f: Flag) -> bool:
     """Whether X F_k lies in F_m for every (k, m) in pairs, stopping at the
     first that does not: X c_1, ..., X c_k must all lie in F_m. The one
     chain containment test: membership and the witness lemma are both read
@@ -300,7 +280,7 @@ def chain_contains(images: ChainImages, pairs, f: Flag) -> bool:
                for c in range(k))
 
 
-def chain_member(images: ChainImages, s: HessShape, f: Flag) -> bool:
+def chain_member(images, s: HessShape, f: Flag) -> bool:
     """Flag-chain membership read from the chain images of f: X F_j
     contained in F_{t_j} for all j."""
     return chain_contains(images, enumerate(s.t, start=1), f)
@@ -336,12 +316,6 @@ def profile(x: Matrix, f: Flag) -> tuple:
             m += 1
         out.append(m)
     return tuple(out)
-
-
-def member_adjoint(x: Matrix, s: HessShape, f: Flag) -> bool:
-    """Profile membership test: g^{-1} X g vanishes at every forbidden mask
-    entry. Equivalent to member()."""
-    return all(m <= t for m, t in zip(profile(x, f), s.t))
 
 
 @lru_cache(maxsize=None)

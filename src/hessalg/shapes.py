@@ -185,12 +185,27 @@ def diagram_text(s: HessShape) -> str:
     return "yd:" + ",".join(str(x) for x in shape_to_diagram(s).parts)
 
 
+def parse_ints(body: str, text: str, name: str, items: str = "integers"):
+    """The integers in body, a comma-separated part of text; a field that is
+    not one raises ValueError naming it, name and text."""
+    out = []
+    for field in body.split(","):
+        try:
+            out.append(int(field))
+        except ValueError:
+            what = ("a non-integer field %r" % field if field
+                    else "an empty field")
+            raise ValueError("%s has %s in %r; give %s separated by commas"
+                             % (name, what, text, items)) from None
+    return out
+
+
 def parse_shape(text: str, n: int | None = None) -> HessShape:
     if text.startswith("h:"):
         body = text[2:]
         if not body:
             raise ValueError("empty Hessenberg function")
-        s = shape_from_function(int(x) for x in body.split(","))
+        s = shape_from_function(parse_ints(body, text, "the shape"))
         if n is not None and s.n != n:
             raise ValueError("shape rank %d != n = %d" % (s.n, n))
         return s
@@ -198,7 +213,7 @@ def parse_shape(text: str, n: int | None = None) -> HessShape:
         if n is None:
             raise ValueError("diagram form needs the rank n")
         body = text[3:]
-        parts = [int(x) for x in body.split(",")] if body else []
+        parts = parse_ints(body, text, "the shape") if body else []
         return shape_from_diagram(parts, n)
     raise ValueError("shape must look like 'h:2,3,3' or 'yd:2,1': %r" % text)
 

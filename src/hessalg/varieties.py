@@ -16,15 +16,9 @@ import itertools
 from array import array
 from dataclasses import dataclass
 
-from .field import JordanSpec, Matrix, jordan_matrix, jordan_spec
-from .flags import (FlagSet, _cell_offsets, bits_from_indices, check_guards,
-                    q_factorial)
-from .shapes import (HessShape, diagram_text, enumerate_shapes, shape_text)
-
-EQUAL = "equal"
-PROPERLY_CONTAINED = "properly-contained"
-PROPERLY_CONTAINS = "properly-contains"
-INCOMPARABLE = "incomparable"
+from .field import JordanSpec, Matrix, is_prime, jordan_matrix, jordan_spec
+from .flags import FlagSet, _cell_offsets, check_guards, q_factorial
+from .shapes import HessShape, diagram_text, enumerate_shapes
 
 
 @dataclass(frozen=True)
@@ -51,6 +45,9 @@ class OperatorSpec:
         return sorted({ev for ev, _ in (self.blocks or ()) if isinstance(ev, str)})
 
     def jordan(self, p: int) -> JordanSpec | None:
+        # Checked first: the residues below are taken mod p.
+        if not is_prime(p):
+            raise ValueError("modulus %r is not prime" % (p,))
         if self.blocks is None:
             return None
         syms = self._symbols()
@@ -288,13 +285,6 @@ def _below(hull, t) -> bool:
     return all(m <= b for m, b in zip(hull, t))
 
 
-def _points(hulls, down, n: int, p: int) -> FlagSet:
-    """The union of the hull groups named by down, as one bitmap."""
-    size = q_factorial(n, p)
-    return FlagSet(n, p, size, bits_from_indices(
-        itertools.chain.from_iterable(hulls[h] for h in down), size))
-
-
 def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
     """Membership bitmaps for several shapes sharing one operator, from one
@@ -308,8 +298,10 @@ def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
     if not shapes:
         return []
     hulls = _hull_groups(x, n, p, shapes)
-    return [_points(hulls, [h for h in hulls if _below(h, s.t)], n, p)
-            for s in shapes]
+    return [FlagSet.from_indices(
+        itertools.chain.from_iterable(idx for h, idx in hulls.items()
+                                      if _below(h, s.t)), n, p)
+        for s in shapes]
 
 
 def compute_variety(x: OperatorSpec, s: HessShape, p: int,
@@ -318,19 +310,6 @@ def compute_variety(x: OperatorSpec, s: HessShape, p: int,
         raise ValueError("operator rank != shape rank")
     points = variety_bitmaps(x.matrix(p), [s], s.n, p, override)[0]
     return Variety(x, s, p, points)
-
-
-def compare(v1: Variety, v2: Variety) -> str:
-    if (v1.p, v1.shape.n, v1.operator) != (v2.p, v2.shape.n, v2.operator):
-        raise ValueError("varieties live in different contexts")
-    a, b = v1.points.bits, v2.points.bits
-    if a == b:
-        return EQUAL
-    if a & b == a:
-        return PROPERLY_CONTAINED
-    if a & b == b:
-        return PROPERLY_CONTAINS
-    return INCOMPARABLE
 
 
 @dataclass(frozen=True)
@@ -379,8 +358,9 @@ def build_poset(x: OperatorSpec, primes,
     keys = list(members_of)
     classes = tuple(
         EqClass(diagram_text(members[0]), tuple(members),
-                tuple(_points(hulls, down, n, p)
-                      for p, hulls, down in zip(primes, tables, key)))
+                tuple(FlagSet.from_indices(
+                    itertools.chain.from_iterable(hulls[h] for h in down),
+                    n, p) for p, hulls, down in zip(primes, tables, key)))
         for key, members in members_of.items())
     # a < b iff a's down-set is a proper subset of b's at every prime.
     up = [{j for j, kb in enumerate(keys)
@@ -388,13 +368,6 @@ def build_poset(x: OperatorSpec, primes,
     hasse = tuple((a.name, classes[j].name) for a, ups in zip(classes, up)
                   for j in sorted(ups) if not any(j in up[k] for k in ups))
     return PosetPX(x, primes, strict_only, classes, hasse)
-
-
-def x_equivalence_classes(x: OperatorSpec, primes, strict_only: bool = False):
-    """Partition of shapes into X-equivalence classes (bitmaps identical at
-    every given prime)."""
-    poset = build_poset(x, primes, strict_only)
-    return [list(c.shapes) for c in poset.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +388,16 @@ def interpolate(primes, counts, max_degree: int | None = None):
         raise ValueError("primes must be distinct")
     # Imported here: fractions loads decimal, which nothing else needs.
     from fractions import Fraction
-    newton = []
-    for k, (pk, ck) in enumerate(zip(primes, counts)):
-        # Newton divided differences.
-        val = Fraction(ck)
-        for m, dm in enumerate(newton):
-            prod = Fraction(1)
-            for q in primes[:m]:
-                prod *= pk - q
-            val -= dm * prod
-        denom = Fraction(1)
-        for q in primes[:k]:
-            denom *= pk - q
-        newton.append(val / denom)
-    # Expand the Newton form into monomial coefficients.
+    # Lagrange form: the sum of c_i prod_{j != i} (q - p_j) / (p_i - p_j),
+    # each product expanded into ascending coefficients.
     coeffs = [Fraction(0)] * len(primes)
-    basis = [Fraction(1)] + [Fraction(0)] * (len(primes) - 1)
-    for k, dk in enumerate(newton):
-        for i in range(len(primes)):
-            coeffs[i] += dk * basis[i]
-        # basis *= (q - primes[k])
-        nxt = [Fraction(0)] * len(primes)
-        for i in range(len(primes) - 1):
-            nxt[i + 1] += basis[i]
-        for i in range(len(primes)):
-            nxt[i] -= basis[i] * primes[k]
-        basis = nxt
+    for pi, ci in zip(primes, counts):
+        term = [Fraction(ci)]
+        for pj in primes:
+            if pj != pi:
+                term = [(a - pj * b) / (pi - pj)
+                        for a, b in zip([0] + term, term + [0])]
+        coeffs = [c + t for c, t in zip(coeffs, term)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if any(c.denominator != 1 for c in coeffs):

@@ -97,6 +97,33 @@ def test_an_empty_prime_field_is_a_usage_error(capsys, command, text):
         % text)
 
 
+@pytest.mark.parametrize("text, field", [
+    ("h:1,x", "a non-integer field 'x'"), ("h:1,,2", "an empty field"),
+    ("yd:2,x", "a non-integer field 'x'"), ("yd:1,", "an empty field")])
+def test_a_bad_shape_field_is_a_usage_error(capsys, text, field):
+    code, out, err = run_cli(capsys, "variety", "--n", "2", "--x",
+                             "jordan:0^2", "--h", text, "--p", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        "the shape has %s in %r; give integers separated by commas"
+        % (field, text))
+
+
+@pytest.mark.parametrize("p", ["-3", "0", "1", "4"])
+@pytest.mark.parametrize("command", [
+    ["witness", "--n", "3", "--x", "jordan:0^3", "--i", "1", "--j", "3"],
+    ["witness", "--n", "2", "--x", "jordan:a^1,0^1", "--i", "1", "--j", "2"],
+    ["involution", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3"],
+    ["variety", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3",
+     "--force"]])
+def test_a_modulus_that_is_not_prime_is_a_usage_error(capsys, command, p):
+    code, out, err = run_cli(capsys, *command, "--p", p)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"schema": "hessalg/1",
+                                "error": "modulus %s is not prime" % p}
+
+
 # --- shapes ------------------------------------------------------------------------
 
 def test_shapes_strict_census_text(capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessalg.field import (JordanSpec, Matrix, antitranspose,
-                           canonicalize_span, conjugate, full_subspace,
+from hessalg.field import (JordanSpec, Matrix, antitranspose, conjugate,
                            image_subspace, inv_mod, jordan_matrix,
                            jordan_spec, regular_nilpotent,
                            similarity_transform, span_of, subspace_le,
@@ -64,9 +63,9 @@ def test_empty_span_is_zero_subspace():
     assert s == zero_subspace(3, 2)
 
 
-def test_canonicalize_span_of_matrix_is_idempotent():
+def test_span_of_matrix_columns_is_idempotent():
     m = Matrix.from_rows([[1, 2, 3], [0, 1, 4], [2, 2, 0]], 5)
-    s = canonicalize_span(m)
+    s = span_of(m.columns(), 3, 5)
     again = span_of(s.basis, 3, 5)
     assert again == s
 
@@ -145,7 +144,8 @@ def test_image_of_regular_nilpotent():
     n3 = regular_nilpotent(3, 2)
     e1 = span_of([(1, 0, 0)], 3, 2)
     assert image_subspace(n3, e1) == zero_subspace(3, 2)
-    assert image_subspace(n3, full_subspace(3, 2)) == span_of(
+    full = span_of(Matrix.identity(3, 2).columns(), 3, 2)
+    assert image_subspace(n3, full) == span_of(
         [(1, 0, 0), (0, 1, 0)], 3, 2)
 
 

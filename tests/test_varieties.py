@@ -13,12 +13,9 @@ from hessalg.flags import flag_text, iter_flags, member, q_factorial
 from hessalg.shapes import (borel_shape, diagram_text, enumerate_shapes,
                             full_shape, peterson_shape, shape_from_function,
                             shape_text, transpose_shape)
-from hessalg.varieties import (EQUAL, INCOMPARABLE, PROPERLY_CONTAINED,
-                               PROPERLY_CONTAINS, OperatorSpec, build_poset,
-                               compare, compute_variety, interpolate,
-                               jordan_operator, matrix_operator, point_counts,
-                               poly_text, variety_bitmaps,
-                               x_equivalence_classes)
+from hessalg.varieties import (OperatorSpec, build_poset, compute_variety,
+                               interpolate, jordan_operator, matrix_operator,
+                               point_counts, poly_text, variety_bitmaps)
 
 
 def cold_bitmaps(x, shapes, n, p):
@@ -183,23 +180,15 @@ def test_bitmaps_are_stable_across_runs_and_shape_lists():
 # --- comparison ------------------------------------------------------------------
 
 def test_compare_outcomes():
+    # Containment of varieties in one context is inclusion of bitmaps.
     op = jordan_operator([(1, 1), (0, 1)])
     p = 3
-    borel = compute_variety(op, borel_shape(2), p)
-    kernel = compute_variety(op, shape_from_function([0, 2]), p)
-    image = compute_variety(op, shape_from_function([1, 1]), p)
-    assert compare(borel, borel) == EQUAL
-    assert compare(kernel, borel) == PROPERLY_CONTAINED
-    assert compare(borel, kernel) == PROPERLY_CONTAINS
-    assert compare(kernel, image) == INCOMPARABLE
-
-
-def test_compare_rejects_context_mismatch():
-    op = jordan_operator([(1, 1), (0, 1)])
-    v2 = compute_variety(op, borel_shape(2), 2)
-    v3 = compute_variety(op, borel_shape(2), 3)
-    with pytest.raises(ValueError):
-        compare(v2, v3)
+    borel = compute_variety(op, borel_shape(2), p).points.bits
+    kernel = compute_variety(op, shape_from_function([0, 2]), p).points.bits
+    image = compute_variety(op, shape_from_function([1, 1]), p).points.bits
+    assert kernel & borel == kernel != borel  # properly contained
+    assert borel | kernel == borel != kernel  # properly contains
+    assert kernel & image not in (kernel, image)  # incomparable
 
 
 # --- posets and equivalence --------------------------------------------------------
@@ -248,7 +237,7 @@ def test_nilpotent_poset_is_a_three_chain():
 
 def test_diag_1100_equivalence_example():
     op = jordan_operator([(1, 1), (1, 1), (0, 1), (0, 1)])
-    classes = x_equivalence_classes(op, (2, 3))
+    classes = [c.shapes for c in build_poset(op, (2, 3)).classes]
     target = {(0, 1, 4, 4), (0, 0, 4, 4)}
     hit = [cls for cls in classes if target & {s.t for s in cls}]
     assert len(hit) == 1
@@ -257,13 +246,13 @@ def test_diag_1100_equivalence_example():
 
 def test_zero_operator_collapses_strict_shapes():
     op = matrix_operator([[0, 0], [0, 0]])
-    classes = x_equivalence_classes(op, (2,), strict_only=True)
-    assert len(classes) == 1
+    assert len(build_poset(op, (2,), strict_only=True).classes) == 1
 
 
 def test_nonscalar_strict_classes_are_singletons():
     for op in (jordan_operator([(0, 3)]), jordan_operator([(1, 1), (0, 2)])):
-        classes = x_equivalence_classes(op, (2, 3), strict_only=True)
+        classes = [c.shapes
+                   for c in build_poset(op, (2, 3), strict_only=True).classes]
         assert all(len(cls) == 1 for cls in classes)
         assert len(classes) == 5
 
@@ -299,6 +288,22 @@ def test_interpolate_input_validation():
         interpolate((2, 2), [1, 1], 2)
     with pytest.raises(ValueError):
         interpolate((), [], 2)
+
+
+@settings(max_examples=200)
+@given(st.data(), st.integers(1, 6))
+def test_interpolate_recovers_an_integer_polynomial(data, k):
+    # A polynomial of degree < k through k distinct integers comes back
+    # exactly, with its trailing zero coefficients stripped.
+    coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=k,
+                                max_size=k))
+    nodes = data.draw(st.lists(st.integers(-10, 10), min_size=k,
+                               max_size=k, unique=True))
+    counts = [sum(c * q ** i for i, c in enumerate(coeffs)) for q in nodes]
+    expected = list(coeffs)
+    while len(expected) > 1 and expected[-1] == 0:
+        expected.pop()
+    assert interpolate(nodes, counts) == expected
 
 
 def test_poly_text_edge_cases():
