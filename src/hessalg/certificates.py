@@ -10,10 +10,9 @@ a returned witness is always a checked certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import (JordanSpec, Matrix, antitranspose, inverse_rows,
+from .field import (JordanSpec, Matrix, Value, antitranspose, inverse_rows,
                     jordan_matrix, regular_nilpotent, similarity_transform)
 from .flags import (Flag, _flag_index, _rep_rows, canonical_columns,
                     canonical_form, chain_contains, chain_images,
@@ -188,15 +187,22 @@ def _witness_entry(spec: JordanSpec, i: int, j: int):
     return f, strict_memberships(jordan_matrix(spec), f)
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
-    operator: JordanSpec
-    pair: tuple
-    flag: Flag
-    checks: tuple        # the three lemma condition results
-    memberships: dict    # shape_text -> bool, over all strict shapes
-    in_first: bool
-    in_second: bool
+class WitnessCertificate(Value):
+    __slots__ = ("operator", "pair", "flag",
+                 "checks",       # the three lemma condition results
+                 "memberships",  # shape_text -> bool, over all strict shapes
+                 "in_first", "in_second")
+
+    def __init__(self, operator: JordanSpec, pair: tuple, flag: Flag,
+                 checks: tuple, memberships: dict, in_first: bool,
+                 in_second: bool):
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "memberships", memberships)
+        object.__setattr__(self, "in_first", in_first)
+        object.__setattr__(self, "in_second", in_second)
 
 
 def certify_distinct(spec: JordanSpec, s1: HessShape,
@@ -277,16 +283,26 @@ def _composed_index(x: Matrix, index: int, n: int, p: int) -> int:
          for c in zip(*g)], p)[2]
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
-    shape: HessShape
-    partner: HessShape
-    p: int
-    count: int
-    partner_count: int
-    intermediate_bijection: bool  # onto Hess(w0 X^T w0, transposed shape)
-    composed_bijection: bool      # onto Hess(X, transposed shape)
-    ok: bool
+class InvolutionReport(Value):
+    __slots__ = ("shape", "partner", "p", "count", "partner_count",
+                 # onto Hess(w0 X^T w0, transposed shape)
+                 "intermediate_bijection",
+                 "composed_bijection",  # onto Hess(X, transposed shape)
+                 "ok")
+
+    def __init__(self, shape: HessShape, partner: HessShape, p: int,
+                 count: int, partner_count: int,
+                 intermediate_bijection: bool, composed_bijection: bool,
+                 ok: bool):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "partner_count", partner_count)
+        object.__setattr__(self, "intermediate_bijection",
+                           intermediate_bijection)
+        object.__setattr__(self, "composed_bijection", composed_bijection)
+        object.__setattr__(self, "ok", ok)
 
 
 def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport:
@@ -346,17 +362,22 @@ def split_flag(f: Flag, j: int):
             _cell_flag(tuple(w - j for w in f.cell[j:]), f.values[k:], f.p))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    shape: HessShape
-    split_index: int
-    sub_shapes: tuple
-    p: int
-    count: int
-    count1: int
-    count2: int
-    pairs_checked: int
-    ok: bool
+class DecompositionReport(Value):
+    __slots__ = ("shape", "split_index", "sub_shapes", "p", "count",
+                 "count1", "count2", "pairs_checked", "ok")
+
+    def __init__(self, shape: HessShape, split_index: int, sub_shapes: tuple,
+                 p: int, count: int, count1: int, count2: int,
+                 pairs_checked: int, ok: bool):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "split_index", split_index)
+        object.__setattr__(self, "sub_shapes", sub_shapes)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "count1", count1)
+        object.__setattr__(self, "count2", count2)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "ok", ok)
 
 
 def verify_decomposition(s: HessShape, p: int,
@@ -395,14 +416,20 @@ def verify_decomposition(s: HessShape, p: int,
                                pairs, ok)
 
 
-@dataclass(frozen=True)
-class IntervalReport:
-    n: int
-    decomposable: tuple
-    indecomposable: tuple
-    bottom: HessShape  # Peterson shape
-    top: HessShape     # full gl_n
-    ok: bool
+class IntervalReport(Value):
+    __slots__ = ("n", "decomposable", "indecomposable",
+                 "bottom",  # Peterson shape
+                 "top",     # full gl_n
+                 "ok")
+
+    def __init__(self, n: int, decomposable: tuple, indecomposable: tuple,
+                 bottom: HessShape, top: HessShape, ok: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "decomposable", decomposable)
+        object.__setattr__(self, "indecomposable", indecomposable)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "ok", ok)
 
 
 def indecomposable_interval(n: int) -> IntervalReport:

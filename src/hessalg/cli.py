@@ -39,7 +39,7 @@ def parse_operator(text: str, n: int) -> varieties.OperatorSpec:
             raise ValueError("Jordan block sizes must sum to n=%d" % n)
         return varieties.OperatorSpec(name=text, n=n, blocks=tuple(blocks))
     if text.startswith("matrix:"):
-        rows = tuple(tuple(int(x) for x in row.split(","))
+        rows = tuple(tuple(parse_ints(row, text, "--x"))
                      for row in text[len("matrix:"):].split(";"))
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix must be %dx%d" % (n, n))
@@ -94,6 +94,8 @@ def _emit(args, text) -> None:
 
 
 def cmd_shapes(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n %d: rank must be positive" % args.n)
     shapes = enumerate_shapes(args.n, args.strict)
     if args.format == "json":
         rows = []

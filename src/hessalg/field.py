@@ -12,7 +12,47 @@ matching the usual matrix-display convention. Internal storage is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import attrgetter
+
+
+class Value:
+    """Base of the immutable value types. A subclass names its fields in
+    __slots__ and sets them in __init__ with object.__setattr__; a slot
+    whose name starts with an underscore is a cache, not a field. Instances
+    compare and hash by their field values, only with instances of the
+    same class, and refuse assignment and deletion."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        # The field values: a tuple, or the value itself for one field.
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        # Pickling and copying rebuild through __init__, since the state
+        # cannot be assigned.
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 def is_prime(p: int) -> bool:
@@ -34,10 +74,12 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    p: int
-    rows: tuple
+class Matrix(Value):
+    __slots__ = ("p", "rows")
+
+    def __init__(self, p: int, rows: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_rows(rows, p: int) -> "Matrix":
@@ -201,18 +243,24 @@ def antitranspose(m: Matrix) -> Matrix:
 # Subspaces in canonical reduced column-echelon form.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """Canonical basis: pivot rows strictly increasing, pivots 1, pivot rows
     otherwise zero, so two values are equal iff they are the same subspace."""
 
-    p: int
-    ambient: int
-    basis: tuple  # tuple of column vectors, each of length `ambient`
-    # 0-based row index of the leading 1 in each basis column, kept from
-    # the reduction that built the basis. The basis alone determines it, so
-    # it does not change which subspaces are equal.
-    pivot_rows: tuple
+    __slots__ = ("p", "ambient",
+                 # tuple of column vectors, each of length `ambient`
+                 "basis",
+                 # 0-based row index of the leading 1 in each basis column,
+                 # kept from the reduction that built the basis. The basis
+                 # alone determines it, so it does not change which
+                 # subspaces are equal.
+                 "pivot_rows")
+
+    def __init__(self, p: int, ambient: int, basis: tuple, pivot_rows: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivot_rows", pivot_rows)
 
     @property
     def dim(self) -> int:
@@ -275,14 +323,16 @@ def conjugate(x: Matrix, g: Matrix) -> Matrix:
 # Jordan data.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JordanSpec:
+class JordanSpec(Value):
     """Jordan block data (eigenvalue residue, block size), canonically
     ordered by descending eigenvalue then descending block size, so specs
     of the same operator are equal."""
 
-    p: int
-    blocks: tuple  # tuple of (eigenvalue, size)
+    __slots__ = ("p", "blocks")  # blocks: tuple of (eigenvalue, size)
+
+    def __init__(self, p: int, blocks: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:

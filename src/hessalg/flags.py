@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .field import Matrix, Subspace, inv_mod, span_of
+from .field import Matrix, Subspace, Value, inv_mod, span_of
 from .shapes import HessShape
 
 GUARD_MAX_N = 6
@@ -72,35 +71,56 @@ def _free_positions(w: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Flag:
-    n: int
-    p: int
-    cell: tuple    # pivot permutation w, 1-based images
-    values: tuple  # free entries, in free_positions(cell) order
-    index: int     # position in the global enumeration order
+class Flag(Value):
+    __slots__ = ("n", "p",
+                 "cell",    # pivot permutation w, 1-based images
+                 "values",  # free entries, in free_positions(cell) order
+                 "index",   # position in the global enumeration order
+                 "_rep", "_spans")  # caches of rep and spans
 
-    @cached_property
+    def __init__(self, n: int, p: int, cell: tuple, values: tuple,
+                 index: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
+
+    @property
     def rep(self) -> Matrix:
         """The canonical representative, built on first use."""
-        rows = _rep_rows(self.cell, self.values)
-        return Matrix(self.p, tuple(map(tuple, rows)))
+        try:
+            return self._rep
+        except AttributeError:
+            rows = _rep_rows(self.cell, self.values)
+            rep = Matrix(self.p, tuple(map(tuple, rows)))
+            object.__setattr__(self, "_rep", rep)
+            return rep
 
-    @cached_property
+    @property
     def spans(self) -> tuple:
         """The chain F_0, ..., F_n: F_k is spanned by the first k columns
         of the representative. Built on first use."""
-        cols = list(zip(*self.rep.rows))
-        return tuple(span_of(cols[:k], self.n, self.p)
-                     for k in range(self.n + 1))
+        try:
+            return self._spans
+        except AttributeError:
+            cols = list(zip(*self.rep.rows))
+            spans = tuple(span_of(cols[:k], self.n, self.p)
+                          for k in range(self.n + 1))
+            object.__setattr__(self, "_spans", spans)
+            return spans
 
 
-@dataclass(frozen=True)
-class FlagSet:
-    n: int
-    p: int
-    size: int  # total number of flags = [n]_p!
-    bits: int  # membership bitmap over the enumeration order
+class FlagSet(Value):
+    __slots__ = ("n", "p",
+                 "size",  # total number of flags = [n]_p!
+                 "bits")  # membership bitmap over the enumeration order
+
+    def __init__(self, n: int, p: int, size: int, bits: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "bits", bits)
 
     @property
     def count(self) -> int:

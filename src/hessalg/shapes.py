@@ -11,24 +11,25 @@ exactly the classical Hessenberg functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .field import Value
 
 
-@dataclass(frozen=True)
-class HessShape:
-    n: int
-    t: tuple
+class HessShape(Value):
+    __slots__ = ("n", "t")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, t: tuple):
+        if n < 1:
             raise ValueError("rank must be positive")
-        if len(self.t) != self.n:
+        if len(t) != n:
             raise ValueError("threshold vector length != n")
-        for j, tj in enumerate(self.t):
-            if not 0 <= tj <= self.n:
+        for j, tj in enumerate(t):
+            if not 0 <= tj <= n:
                 raise ValueError("threshold %d out of range" % tj)
-            if j and tj < self.t[j - 1]:
+            if j and tj < t[j - 1]:
                 raise ValueError("thresholds must be non-decreasing")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
 
     def allowed(self, i: int, j: int) -> bool:
         """1-based: is matrix entry (i, j) inside the space?"""
@@ -45,16 +46,16 @@ class HessShape:
         return sum(self.t)
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
-    parts: tuple  # non-increasing positive row lengths
+class YoungDiagram(Value):
+    __slots__ = ("parts",)  # non-increasing positive row lengths
 
-    def __post_init__(self):
-        for k, part in enumerate(self.parts):
+    def __init__(self, parts: tuple):
+        for k, part in enumerate(parts):
             if part < 1:
                 raise ValueError("parts must be positive")
-            if k and part > self.parts[k - 1]:
+            if k and part > parts[k - 1]:
                 raise ValueError("parts must be non-increasing")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -100,6 +101,8 @@ def shape_from_diagram(diagram, n: int) -> HessShape:
 
 def enumerate_shapes(n: int, strict_only: bool = False):
     """All shapes of rank n in lexicographic order on the threshold vector."""
+    if n < 1:
+        raise ValueError("rank must be positive")
     out = []
     for t in itertools.combinations_with_replacement(range(n + 1), n):
         s = HessShape(n, t)

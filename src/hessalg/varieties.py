@@ -14,32 +14,34 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 
-from .field import JordanSpec, Matrix, is_prime, jordan_matrix, jordan_spec
+from .field import (JordanSpec, Matrix, Value, is_prime, jordan_matrix,
+                    jordan_spec)
 from .flags import FlagSet, _cell_offsets, check_guards, q_factorial
 from .shapes import HessShape, diagram_text, enumerate_shapes
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Value):
     """An operator given as Jordan data (eigenvalues may be integers or
     symbols resolved per prime) or as a raw integer matrix reduced mod p."""
 
-    name: str
-    n: int
-    blocks: tuple | None = None   # tuple of (eigenvalue int|symbol str, size)
-    entries: tuple | None = None  # raw matrix rows
+    __slots__ = ("name", "n",
+                 "blocks",   # tuple of (eigenvalue int|symbol str, size)
+                 "entries")  # raw matrix rows
 
-    def __post_init__(self):
-        if (self.blocks is None) == (self.entries is None):
+    def __init__(self, name: str, n: int, blocks: tuple | None = None,
+                 entries: tuple | None = None):
+        if (blocks is None) == (entries is None):
             raise ValueError("need exactly one of Jordan blocks / raw matrix")
-        if self.blocks is not None and sum(s for _, s in self.blocks) != self.n:
+        if blocks is not None and sum(s for _, s in blocks) != n:
             raise ValueError("block sizes must sum to n")
-        if self.entries is not None and (
-                len(self.entries) != self.n
-                or any(len(r) != self.n for r in self.entries)):
+        if entries is not None and (
+                len(entries) != n or any(len(r) != n for r in entries)):
             raise ValueError("raw matrix must be n x n")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "entries", entries)
 
     def _symbols(self):
         return sorted({ev for ev, _ in (self.blocks or ()) if isinstance(ev, str)})
@@ -95,12 +97,15 @@ def matrix_operator(rows, name: str | None = None) -> OperatorSpec:
     return OperatorSpec(name=name, n=len(rows), entries=rows)
 
 
-@dataclass(frozen=True)
-class Variety:
-    operator: OperatorSpec
-    shape: HessShape
-    p: int
-    points: FlagSet
+class Variety(Value):
+    __slots__ = ("operator", "shape", "p", "points")
+
+    def __init__(self, operator: OperatorSpec, shape: HessShape, p: int,
+                 points: FlagSet):
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "points", points)
 
 
 def _profile_groups(x: Matrix, n: int, p: int, bound):
@@ -312,24 +317,33 @@ def compute_variety(x: OperatorSpec, s: HessShape, p: int,
     return Variety(x, s, p, points)
 
 
-@dataclass(frozen=True)
-class EqClass:
-    name: str          # diagram text of the lex-least member shape
-    shapes: tuple      # member HessShapes, lex order on thresholds
-    bitmaps: tuple     # one FlagSet per prime, in the primes order
+class EqClass(Value):
+    __slots__ = ("name",     # diagram text of the lex-least member shape
+                 "shapes",   # member HessShapes, lex order on thresholds
+                 "bitmaps")  # one FlagSet per prime, in the primes order
+
+    def __init__(self, name: str, shapes: tuple, bitmaps: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "bitmaps", bitmaps)
 
     @property
     def representative(self) -> HessShape:
         return self.shapes[0]
 
 
-@dataclass(frozen=True)
-class PosetPX:
-    operator: OperatorSpec
-    primes: tuple
-    strict_only: bool
-    classes: tuple  # EqClass, sorted by representative thresholds
-    hasse: tuple    # (sub_name, super_name) covering edges
+class PosetPX(Value):
+    __slots__ = ("operator", "primes", "strict_only",
+                 "classes",  # EqClass, sorted by representative thresholds
+                 "hasse")    # (sub_name, super_name) covering edges
+
+    def __init__(self, operator: OperatorSpec, primes: tuple,
+                 strict_only: bool, classes: tuple, hasse: tuple):
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "strict_only", strict_only)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "hasse", hasse)
 
 
 def build_poset(x: OperatorSpec, primes,

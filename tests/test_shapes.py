@@ -55,6 +55,12 @@ def test_out_of_range_threshold_rejected():
         shape_from_function([1, 2, 4])
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_enumerating_shapes_needs_a_positive_rank(n):
+    with pytest.raises(ValueError, match="^rank must be positive$"):
+        enumerate_shapes(n)
+
+
 # --- Young diagram correspondence ---------------------------------------------
 
 def test_borel_diagram_is_staircase():
