@@ -26,16 +26,25 @@ GUARD_PRIMES = (2, 3, 5, 7)
 # Largest flag count [n]_p! admitted without override: (6, 3) has 91.6M
 # flags, (5, 7) has 510M.
 GUARD_MAX_FLAGS = 10 ** 8
+# Largest flag count admitted even under override. A bitmap holds one bit
+# per flag, so the cap bounds one bitmap at 512 MiB; (6, 7) with 1.0e13
+# flags would need 1.25 TB.
+BITMAP_MAX_FLAGS = 1 << 32
 
 
 def check_guards(n: int, p: int, override: bool = False) -> None:
+    size = q_factorial(n, p)
+    if size > BITMAP_MAX_FLAGS:
+        raise ValueError(
+            "size guard: n=%d, p=%d has %d flags, more than the bitmap cap "
+            "of %d flags (2^32); override does not lift it"
+            % (n, p, size, BITMAP_MAX_FLAGS))
     if override:
         return
     if n > GUARD_MAX_N or p not in GUARD_PRIMES:
         raise ValueError(
             "size guard: need n <= %d and p in %r (got n=%d, p=%d); "
             "pass override to force" % (GUARD_MAX_N, GUARD_PRIMES, n, p))
-    size = q_factorial(n, p)
     if size > GUARD_MAX_FLAGS:
         raise ValueError(
             "size guard: n=%d, p=%d has %d flags, more than %d; "

@@ -17,7 +17,7 @@ from array import array
 
 from .field import (JordanSpec, Matrix, Value, is_prime, jordan_matrix,
                     jordan_spec)
-from .flags import FlagSet, _cell_offsets, check_guards, q_factorial
+from .flags import FlagSet, check_guards, q_factorial
 from .shapes import HessShape, diagram_text, enumerate_shapes
 
 
@@ -109,11 +109,13 @@ class Variety(Value):
 
 
 def _profile_groups(x: Matrix, n: int, p: int, bound):
-    """Indices of the flags whose profile is <= bound, grouped by profile.
+    """Indices of the flags whose hull is <= bound, grouped by profile
+    (up to the last coordinate, see below).
 
     The profile of gB is (m_1, ..., m_n), where m_j is the lowest nonzero
     row of column j of g^{-1} X g (0 for a zero column), i.e. the least m
     with X c_j in F_m. A flag lies in Hess(X, t) iff m <= t componentwise.
+    The bound is non-decreasing, as every hull is.
 
     The search places the columns of the canonical representative depth
     first. For each placed column j it carries the residual of X c_j
@@ -122,99 +124,200 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
     the pivot rows of earlier ones. The residual dies at the column m_j,
     so a residual still alive at depth >= bound_j cuts the subtree; one
     that must die at the column being placed determines that column.
-    """
-    xcols = [list(col) for col in zip(*x.rows)]
-    offsets = {tuple(i - 1 for i in cell): start
-               for cell, start in _cell_offsets(n, p).items()}
-    groups = {}
-    w = [0] * n       # 0-based pivot rows of the placed columns
-    cols = [None] * n
-    prof = [0] * n
 
-    def reduce_new(v, d):
-        """(m, None) for the image v of column d if it lies in F_{d+1},
-        else (None, its residual against columns 0..d)."""
-        if not any(v):
-            return 0, None
-        for k in range(d + 1):
-            y = v[w[k]]
+    A vector over F_p is one int with b-bit lanes, row i in the bits from
+    b*i, where p <= 2^(b-1). The sum s of two reduced vectors has lanes
+    below 2p, and s - p*(((s + k) >> (b-1)) & ones) reduces every lane at
+    once: adding 2^(b-1) - p to a lane sets its top bit iff the lane is
+    >= p, and no lane carries into the next. So a - y*c is a plus the
+    negated multiple (p - y)*c, reduced.
+
+    The last column is the unit vector at the one row left, placed inside
+    its parent's loop. A residual still alive there dies at m = n, so the
+    hull ends in n and the last column's own reduction is skipped: such a
+    flag is keyed with m_n = n. The key is then not its profile, but it
+    has the profile's hull.
+    """
+    b = (p - 1).bit_length() + 1
+    top = b - 1
+    lane = (1 << b) - 1
+    ones = sum(1 << b * i for i in range(n))
+    k = ((1 << top) - p) * ones
+
+    def add(u, v):
+        s = u + v
+        return s - p * ((s + k) >> top & ones)
+
+    # The images X e_r, and their multiples c * X e_r.
+    ximg = [sum(a % p << b * i for i, a in enumerate(col))
+            for col in zip(*x.rows)]
+    xmul = []
+    for v in ximg:
+        mul = [0]
+        for _ in range(p - 1):
+            mul.append(add(mul[-1], v))
+        xmul.append(mul)
+
+    # One table per tuple of free rows, over its value vectors u in
+    # product order (first row most significant): the packed part u, its
+    # local rank, the packed image part sum u_i X e_i, and the multiples
+    # of u as a line and a scale. The line of a vector u0 whose first
+    # nonzero value is 1 lists c * u0 for c in F_p, and u = c0 * u0 reads
+    # its multiple c * u at line[c * c0 % p]. Lines are shared by the
+    # p - 1 nonzero multiples of u0, so a table holds O(p^|rows|) ints at
+    # every p. Each table is built from the one without its last row the
+    # first time a node chooses among those free rows.
+    tables = {(): ((0, 0, 0, (0,), 0),)}
+
+    def extend(head, row):
+        """The table of head's free rows followed by one more row."""
+        sh = b * row
+        mul = xmul[row]
+        lines = {}
+        entries = []
+        for part, local, img, line, c0 in head:
+            if not c0:
+                # u = (0, ..., 0, c): u0 is the unit vector at row.
+                unit = tuple(c << sh for c in range(p))
+                entries.extend((c << sh, c, mul[c], unit if c else (0,), c)
+                               for c in range(p))
+                continue
+            inv = pow(c0, -1, p)
+            for c in range(p):
+                ratio = c * inv % p  # the entry of u0 at row
+                key = line[1] | ratio << sh
+                new = lines.get(key)
+                if new is None:
+                    new = lines[key] = tuple(line[a] | a * ratio % p << sh
+                                             for a in range(p))
+                entries.append((part | c << sh, local * p + c,
+                                add(img, mul[c]), new, c0))
+        return tuple(entries)
+
+    # [m]_p!, the number of flags over a placed prefix with m rows left.
+    fact = [q_factorial(m, p) for m in range(n + 1)]
+    choice_memo = {}
+
+    def choices(unused):
+        """For each pivot row r of the next column, in order: r, its lane,
+        the rows left, the table of the free rows above r, p^(free rows),
+        and the flags in the cells with an earlier pivot here, per unit of
+        scale. Cells are in lex order, and choosing the pos-th unused row
+        adds pos inversions, so the earlier pivots hold
+        (p^pos - 1) / (p - 1) * [rows left]_p! flags per unit."""
+        opts = choice_memo.get(unused)
+        if opts is None:
+            left = fact[len(unused) - 1]
+            opts = choice_memo[unused] = []
+            entries = tables[()]
+            for pos, r in enumerate(unused):
+                if pos:
+                    free = unused[:pos]
+                    head, entries = entries, tables.get(free)
+                    if entries is None:
+                        entries = tables[free] = extend(head, free[-1])
+                opts.append((r, b * r, unused[:pos] + unused[pos + 1:],
+                             entries, p ** pos,
+                             (p ** pos - 1) // (p - 1) * left))
+        return opts
+
+    def reduce(v, cols):
+        """(m, 0) for the least m with v in the span of the first m
+        columns, or (None, v reduced against all of them)."""
+        if not v:
+            return 0, 0
+        for m, (sh, line, c0) in enumerate(cols, 1):
+            y = v >> sh & lane
             if y:
-                v = [(a - y * b) % p for a, b in zip(v, cols[k])]
-                if not any(v):
-                    return k + 1, None
+                c = p - y
+                v += line[c * c0 % p] | c << sh
+                v -= p * ((v + k) >> top & ones)
+                if not v:
+                    return m, 0
         return None, v
 
-    def place(d, unused, rank, alive):
-        depth = d + 1
-        if depth == n:
-            # The last column is the unit vector at the last free row; every
-            # residual still alive is a multiple of it and dies here.
-            r = unused[0]
-            w[d] = r
-            m = reduce_new(xcols[r], d - 1)[0]
-            if m is None:
-                m = n
-            if m > bound[d]:
-                return
-            for j, _ in alive:
-                prof[j] = n
-            prof[d] = m
-            idx = offsets[tuple(w)] + rank
-            key = tuple(prof)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = array("q")
-            group.append(idx)
-            return
+    groups = {}
+    prof = [0] * n
+
+    # A node holds the rows not yet pivots, the placed columns as (pivot
+    # lane, line, scale), the partial cell start off and free-value rank
+    # (at a leaf, the flag's index is off + rank), p^(free values so
+    # far), and the residuals still alive as (column, residual).
+    def place(unused, cols, off, rank, scale, alive):
+        depth = len(cols) + 1
+        opts = choices(unused)
         forced = next((res for j, res in alive if bound[j] <= depth), None)
-        if forced is None:
-            children = [(pos, r, vals) for pos, r in enumerate(unused)
-                        for vals in itertools.product(range(p), repeat=pos)]
-        else:
+        if forced is not None:
             # This residual must die at the column being placed, so that
             # column is the residual scaled to a unit pivot.
-            r = max(i for i in range(n) if forced[i])
-            inv = pow(forced[r], -1, p)
+            r = (forced.bit_length() - 1) // b
+            inv = pow(forced >> b * r & lane, -1, p)
             pos = unused.index(r)
-            children = [(pos, r, tuple(forced[i] * inv % p
-                                       for i in unused[:pos]))]
-        for pos, r, vals in children:
-            free = unused[:pos]
-            col = [0] * n
-            col[r] = 1
             local = 0
-            for i, v in zip(free, vals):
-                col[i] = v
-                local = local * p + v
-            nxt = []
-            for j, res in alive:
-                y = res[r]
-                if y:
-                    res = [(a - y * b) % p for a, b in zip(res, col)]
-                    if not any(res):
-                        prof[j] = depth
-                        continue
-                if bound[j] <= depth:
-                    break
-                nxt.append((j, res))
-            else:
-                img = list(xcols[r])
-                for i, v in zip(free, vals):
-                    if v:
-                        img = [(a + v * b) % p for a, b in zip(img, xcols[i])]
-                w[d] = r
-                cols[d] = col
-                m, res = reduce_new(img, d)
-                if m is not None:
-                    prof[d] = m
-                elif bound[d] <= depth:
-                    continue
+            for i in unused[:pos]:
+                local = local * p + (forced >> b * i & lane) * inv % p
+            r, sh, rest, entries, pp, skip = opts[pos]
+            opts = ((r, sh, rest, (entries[local],), pp, skip),)
+        last = depth == n - 1
+        for r, sh, rest, entries, pp, skip in opts:
+            coff = off + skip * scale
+            crank = rank * pp
+            cscale = scale * pp
+            xr = ximg[r]
+            for part, local, img, line, c0 in entries:
+                nxt = []
+                for j, res in alive:
+                    y = res >> sh & lane
+                    if y:
+                        c = p - y
+                        res += line[c * c0 % p] | c << sh
+                        res -= p * ((res + k) >> top & ones)
+                        if not res:
+                            prof[j] = depth
+                            continue
+                    if bound[j] <= depth:
+                        break
+                    nxt.append((j, res))
                 else:
-                    nxt.append((d, res))
-                place(d + 1, unused[:pos] + unused[pos + 1:],
-                      rank * p ** pos + local, nxt)
+                    ccols = cols + [(sh, line, c0)]
+                    m, res = reduce(add(xr, img), ccols)
+                    d = depth - 1
+                    if m is None:
+                        if bound[d] <= depth:
+                            continue
+                        nxt.append((d, res))
+                    elif m > bound[d]:
+                        continue
+                    else:
+                        prof[d] = m
+                    if not last:
+                        place(rest, ccols, coff, crank + local, cscale, nxt)
+                        continue
+                    # The leaf: column n is the unit vector at the row left.
+                    if nxt:
+                        for j, _ in nxt:
+                            prof[j] = n
+                        prof[depth] = n
+                    else:
+                        m = reduce(ximg[rest[0]], ccols)[0]
+                        if m is None:
+                            m = n
+                        if m > bound[depth]:
+                            continue
+                        prof[depth] = m
+                    key = tuple(prof)
+                    group = groups.get(key)
+                    if group is None:
+                        group = groups[key] = array("q")
+                    group.append(coff + crank + local)
 
-    place(0, list(range(n)), 0, [])
+    if n == 1:
+        # One flag; its profile is that of the unit vector e_1.
+        m = 0 if not ximg[0] else 1
+        if m <= bound[0]:
+            groups[(m,)] = array("q", [0])
+    else:
+        place(tuple(range(n)), [], 0, 0, 1, [])
     # place refers to itself through its closure cell; emptying the cell
     # frees the search's environment now rather than at the next cyclic
     # garbage collection.

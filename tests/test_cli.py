@@ -385,6 +385,23 @@ def test_force_overrides_the_size_guard(capsys):
     assert result["points"][0] == "[e1,e2]"
 
 
+def test_force_does_not_lift_the_bitmap_cap(capsys, monkeypatch):
+    # [6]_7! is about 1.0e13 flags, a 1.25 TB bitmap: refused before any
+    # search runs or any bitmap is allocated, as a usage error.
+    def refused(*args, **kwargs):
+        raise AssertionError("searched or allocated past the cap")
+
+    monkeypatch.setattr("hessalg.varieties._hull_groups", refused)
+    monkeypatch.setattr("hessalg.flags.bits_from_indices", refused)
+    code, out, err = run_cli(capsys, "variety", "--n", "6",
+                             "--x", "jordan:0^6", "--h", "h:2,3,4,5,6,6",
+                             "--p", "7", "--force")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert "10017774259200 flags" in error
+    assert "bitmap cap of 4294967296 flags" in error
+
+
 def test_output_file_option(tmp_path, capsys):
     target = tmp_path / "census.txt"
     code, out, err = run_cli(capsys, "shapes", "--n", "2", "-o", str(target))

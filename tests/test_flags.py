@@ -80,7 +80,10 @@ def test_guards():
     # The flag count is guarded too: [6]_7! is about 1.0e13 flags.
     with pytest.raises(ValueError):
         check_guards(6, 7)
-    check_guards(6, 7, override=True)
+    # Override does not lift the bitmap cap of 2^32 flags.
+    with pytest.raises(ValueError, match="bitmap cap"):
+        check_guards(6, 7, override=True)
+    check_guards(5, 7, override=True)  # 510,902,400 flags
     for n, p in [(5, 7), (6, 5)]:
         with pytest.raises(ValueError):
             check_guards(n, p)

@@ -1,21 +1,22 @@
 """Property tests of the membership kernel (variety_bitmaps) against
 oracles that do not share its code: the flag-chain test `member`, the
-closed-form point counts of regular nilpotent and regular semisimple
+per-flag profile `flags.profile`, the closed-form point counts of regular nilpotent and regular semisimple
 Hessenberg varieties, and the paving by affine cells."""
 
 import itertools
 import tracemalloc
 from math import comb
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hessalg import varieties
 from hessalg.field import Matrix, regular_nilpotent
-from hessalg.flags import (flag_at, flag_cell, iter_flags, member,
+from hessalg.flags import (flag_at, flag_cell, iter_flags, member, profile,
                           q_factorial)
 from hessalg.shapes import (HessShape, diagram_text, enumerate_shapes,
-                            peterson_shape)
+                            full_shape, peterson_shape)
 from hessalg.varieties import (build_poset, jordan_operator, matrix_operator,
                                variety_bitmaps)
 
@@ -63,11 +64,11 @@ def _oracle_bits(x, s, flags):
     return sum(1 << f.index for f in flags if member(x, s, f))
 
 
-def _cold_bitmaps(x, shapes, n, p):
+def _cold_bitmaps(x, shapes, n, p, override=False):
     """variety_bitmaps from a search under these shapes' own bound, not
     from a table a wider search left in the memo."""
     varieties._hull_memo.clear()
-    return variety_bitmaps(x, shapes, n, p)
+    return variety_bitmaps(x, shapes, n, p, override)
 
 
 @settings(SLOW, max_examples=40)
@@ -107,8 +108,35 @@ def test_bitmaps_equal_chain_oracle_at_rank_four(data, p):
             [member(x, s, f) for s in shapes]
 
 
+# Lane widths b = 2, 3, 4, 4, 5, 5 bits; 11 and 13 need override.
+@settings(SLOW, max_examples=8)
+@given(st.data(), st.integers(1, 3))
+@example(data=None, n=3)
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_every_flag_is_in_the_group_of_its_profile_hull(p, data, n):
+    if data is None:  # the explicit example: the regular nilpotent
+        x = regular_nilpotent(n, p)
+        picked = []
+    else:
+        x = _draw_matrix(data, n, p)
+        picked = [data.draw(st.sampled_from(enumerate_shapes(n)))]
+    # The full shape keeps residuals alive to the last column, where the
+    # search skips its reduction; a shape with t_n < n prunes there.
+    bounds = [full_shape(n), HessShape(n, (n - 1,) * n)] + picked
+    hulls = {}
+    for f in iter_flags(n, p, override=True):
+        hull = tuple(itertools.accumulate(profile(x, f), max))
+        hulls.setdefault(hull, []).append(f.index)
+    for s in bounds:
+        varieties._hull_memo.clear()
+        got = varieties._hull_groups(x, n, p, [s])
+        assert {h: sorted(idx) for h, idx in got.items()} == \
+            {h: idx for h, idx in hulls.items()
+             if all(m <= t for m, t in zip(h, s.t))}
+
+
 # Strict shapes at n = 6 with at most 20,000 points: one search costs up
-# to 2.5 s there, against 9 s for the unpruned full shape, whose kernel
+# to 1.3 s there, against 3 s for the unpruned full shape, whose kernel
 # path the rank-four checks above already cover.
 STRICT_6 = [s for s in enumerate_shapes(6, strict_only=True)
             if _nilpotent_count(s, 2) <= 20000]
@@ -122,6 +150,18 @@ def test_regular_nilpotent_counts_at_rank_six(s):
     (v,) = variety_bitmaps(regular_nilpotent(6, 2), [s], 6, 2)
     assert v.size == 615195
     assert v.count == _nilpotent_count(s, 2)
+
+
+@pytest.mark.parametrize("t, p, override", [
+    ((2, 3, 4, 5, 5), 5, False),
+    ((2, 3, 4, 4), 7, False),
+    ((2, 4, 4, 4), 7, False),
+    ((2, 3, 4, 4), 11, True)])
+def test_regular_nilpotent_counts_at_larger_primes(t, p, override):
+    n = len(t)
+    s = HessShape(n, t)
+    (v,) = _cold_bitmaps(regular_nilpotent(n, p), [s], n, p, override)
+    assert v.count == _nilpotent_count(s, p)
 
 
 def _semisimple_count(s, q):

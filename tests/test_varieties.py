@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hessalg import varieties
 from hessalg.certificates import verify_involution
 from hessalg.field import regular_nilpotent
-from hessalg.flags import flag_text, iter_flags, member, q_factorial
+from hessalg.flags import (check_guards, flag_text, iter_flags, member,
+                           q_factorial)
 from hessalg.shapes import (borel_shape, diagram_text, enumerate_shapes,
                             full_shape, peterson_shape, shape_from_function,
                             shape_text, transpose_shape)
@@ -146,6 +147,22 @@ def test_guard_and_override():
         compute_variety(op, borel_shape(2), 11)
     v = compute_variety(op, borel_shape(2), 11, override=True)
     assert v.points.count == 1
+
+
+def test_override_does_not_lift_the_bitmap_cap(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("searched or allocated past the cap")
+
+    monkeypatch.setattr("hessalg.varieties._hull_groups", refused)
+    monkeypatch.setattr("hessalg.flags.bits_from_indices", refused)
+    op = jordan_operator([(0, 6)])
+    with pytest.raises(ValueError, match="bitmap cap"):
+        compute_variety(op, shape_from_function([2, 3, 4, 5, 6, 6]), 7,
+                        override=True)
+    # The cap is on the flag count, [2]_q! = q + 1 at n = 2.
+    check_guards(2, (1 << 32) - 1, override=True)
+    with pytest.raises(ValueError, match="bitmap cap"):
+        check_guards(2, 1 << 32, override=True)
 
 
 def test_build_poset_refuses_repeated_primes(monkeypatch):
