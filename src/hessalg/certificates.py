@@ -11,17 +11,18 @@ a returned witness is always a checked certificate.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .field import (JordanSpec, Matrix, Value, antitranspose, inverse_rows,
                     jordan_matrix, regular_nilpotent, similarity_transform)
 from .flags import (Flag, _flag_index, _rep_rows, canonical_columns,
                     canonical_form, chain_contains, chain_images,
-                    chain_member, flag_at, flag_cell, flag_text, inversions,
-                    profile)
+                    chain_levels, chain_member, flag_at, flag_cell,
+                    flag_text, inversions, profile)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
-from .varieties import OperatorSpec, variety_bitmaps
+from .varieties import OperatorSpec, variety_indices
 
 
 # ---------------------------------------------------------------------------
@@ -37,16 +38,16 @@ def check_lemma(x: Matrix, flag, i: int, j: int):
     f = flag if isinstance(flag, Flag) else canonical_form(flag)
     if not 1 <= i < j <= f.n:
         raise ValueError("need 1 <= i < j <= n")
-    return lemma_conditions(chain_images(x, f), f, i, j)
+    return lemma_conditions(chain_levels(chain_images(x, f), f), i, j)
 
 
-def lemma_conditions(images, f: Flag, i: int, j: int):
-    """check_lemma's conditions and verdict, read from the chain images
-    of f (flags.chain_images)."""
-    c1 = chain_contains(images, ((k, k) for k in range(1, f.n + 1)
-                                 if not i <= k <= j), f)
-    c2 = chain_contains(images, [(i, j)], f)
-    c3 = not chain_contains(images, [(i, j - 1)], f)
+def lemma_conditions(levels, i: int, j: int):
+    """check_lemma's conditions and verdict, read from the chain levels
+    of the flag (flags.chain_levels)."""
+    c1 = chain_contains(levels, ((k, k) for k in range(1, len(levels) + 1)
+                                 if not i <= k <= j))
+    c2 = chain_contains(levels, [(i, j)])
+    c3 = not chain_contains(levels, [(i, j - 1)])
     return (c1, c2, c3), (c1 and c2 and c3)
 
 
@@ -169,22 +170,24 @@ def strict_memberships(x: Matrix, f: Flag) -> dict:
 # Bounds of the per-session memos below. Each holds work that depends only
 # on the operator, on (n, p) or on (X, i, j); the checks that use it run on
 # every call. Worst-case memory, measured with tracemalloc on full memos
-# at n = 6, p = 7 (about 4 MB in all):
-# - the transform, 2.3 KB an operator: 64 operators, 0.15 MB;
-# - the involution index map, 0.25 KB an index: 4,096 indices, 1.0 MB;
-# - the composed index map, 0.2 KB an index: 4,096 indices, 0.8 MB;
-# - the witness with its memberships, 7.8 KB an (X, i, j): 256, 2.0 MB.
+# at n = 6, p = 7 (about 3.3 MB in all):
+# - the transform with its inverse, 2.2 KB an operator: 64, 0.14 MB;
+# - the index maps, 0.11 KB an index: 8,192 indices, 0.9 MB;
+# - the witness with its memberships and X, 8.5 KB an (X, i, j): 256,
+#   2.2 MB.
 TRANSFORM_MEMO_SIZE = 64
-INDEX_MEMO_SIZE = 4096
+INDEX_MEMO_SIZE = 8192
+INDEX_MEMO_MAPS = 64
 WITNESS_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=WITNESS_MEMO_SIZE)
 def _witness_entry(spec: JordanSpec, i: int, j: int):
-    """(witness flag, its memberships over every strict shape) for
+    """(witness flag, its memberships over every strict shape, X) for
     (X, i, j). Callers copy the memberships before handing them out."""
+    x = jordan_matrix(spec)
     f = build_witness(spec, i, j)[1]
-    return f, strict_memberships(jordan_matrix(spec), f)
+    return f, strict_memberships(x, f), x
 
 
 class WitnessCertificate(Value):
@@ -222,23 +225,22 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
     i, j = pair
-    f, memberships = _witness_entry(spec, i, j)
+    f, memberships, x = _witness_entry(spec, i, j)
     memberships = dict(memberships)
-    # The witness is shared between calls. Its chain images are computed
-    # afresh on every call, and the lemma and the two memberships the
-    # certificate rests on are re-checked from them.
-    images = chain_images(jordan_matrix(spec), f)
-    checks, verdict = lemma_conditions(images, f, i, j)
+    # The witness is shared between calls. Its chain images and their
+    # levels are computed afresh on every call, and the lemma and the two
+    # memberships the certificate rests on are re-checked from them.
+    levels = chain_levels(chain_images(x, f), f)
+    checks, verdict = lemma_conditions(levels, i, j)
     if not verdict:
         raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
                            % (i, j, flag_text(f)))
-    for s in (s1, s2):
-        if chain_member(images, s, f) != memberships[shape_text(s)]:
+    in1, in2 = (memberships[shape_text(s)] for s in (s1, s2))
+    for s, held in ((s1, in1), (s2, in2)):
+        if chain_member(levels, s) != held:
             raise RuntimeError(
                 "profile and chain membership disagree on %s at flag %s"
                 % (shape_text(s), flag_text(f)))
-    in1 = memberships[shape_text(s1)]
-    in2 = memberships[shape_text(s2)]
     if in1 == in2:
         raise RuntimeError("witness does not separate the varieties")
     return WitnessCertificate(spec, pair, f, checks, memberships, in1, in2)
@@ -253,7 +255,6 @@ def involution_image(f: Flag) -> Flag:
     return flag_at(_involution_index(f.index, f.n, f.p), f.n, f.p)
 
 
-@lru_cache(maxsize=INDEX_MEMO_SIZE)
 def _involution_index(index: int, n: int, p: int) -> int:
     """Index of w0 (g^T)^{-1} w0 for the canonical representative g of
     the flag at an index. Its entry (i, j) is entry (n-1-j, n-1-i) of
@@ -262,25 +263,40 @@ def _involution_index(index: int, n: int, p: int) -> int:
     return canonical_columns([inv[n - 1 - j][::-1] for j in range(n)], p)[2]
 
 
+def _composed_index(prows, index: int, n: int, p: int) -> int:
+    """Index of P g for the canonical representative g of the flag at an
+    index, where P has the given rows. P g spans the same flag as P times
+    any other representative of it."""
+    g = _rep_rows(*flag_cell(index, n, p))
+    return canonical_columns(
+        [[sum(map(mul, r, c)) % p for r in prows] for c in zip(*g)], p)[2]
+
+
 @lru_cache(maxsize=TRANSFORM_MEMO_SIZE)
 def _involution_transform(x: Matrix):
-    """(Y, P): Y = w0 X^T w0, and P with P Y P^{-1} = X, or None if there
-    is no such P."""
+    """(Y, P, Q): Y = w0 X^T w0, P with P Y P^{-1} = X and Q = P^{-1}, or
+    (Y, None, None) if there is no such P."""
     ym = antitranspose(x)
-    return ym, similarity_transform(ym, x)
+    pmat = similarity_transform(ym, x)
+    return ym, pmat, (None if pmat is None else pmat.inverse())
 
 
-@lru_cache(maxsize=INDEX_MEMO_SIZE)
-def _composed_index(x: Matrix, index: int, n: int, p: int) -> int:
-    """Index of P g' for the flag at an index, where g' is the canonical
-    representative of its involution image and P comes from
-    _involution_transform(X). P g' spans the same flag as P times any
-    other representative of the image."""
-    prows = _involution_transform(x)[1].rows
-    g = _rep_rows(*flag_cell(_involution_index(index, n, p), n, p))
-    return canonical_columns(
-        [[sum(a * b for a, b in zip(r, c)) % p for r in prows]
-         for c in zip(*g)], p)[2]
+# The involution's index maps, least recently used first: (n, p) -> {flag
+# index: its involution image's index}, X -> {flag index: P g's index}.
+_index_maps = {}
+
+
+def _mapped(context, indices, image) -> set:
+    """{image(i) for i in indices}, read from the context's index map, which
+    stores what it lacked. Then the oldest maps go until both bounds hold,
+    so a call that maps more points than INDEX_MEMO_SIZE keeps none."""
+    _index_maps[context] = memo = _index_maps.pop(context, None) or {}
+    out = {memo[i] if i in memo else memo.setdefault(i, image(i))
+           for i in indices}
+    while (len(_index_maps) > INDEX_MEMO_MAPS
+           or sum(map(len, _index_maps.values())) > INDEX_MEMO_SIZE):
+        del _index_maps[next(iter(_index_maps))]
+    return out
 
 
 class InvolutionReport(Value):
@@ -308,23 +324,24 @@ class InvolutionReport(Value):
 def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport:
     n = s.n
     xm = x.matrix(p)
-    ym, pmat = _involution_transform(xm)  # ym = w0 * X^T * w0
+    ym, pmat, qmat = _involution_transform(xm)  # ym = w0 * X^T * w0
     if pmat is None:
         raise RuntimeError("X and w0 X^T w0 must be similar")
-    if pmat * ym != xm * pmat or not pmat.is_invertible():
+    # The memoized P is re-checked on every call: P Q = I makes it
+    # invertible.
+    if pmat * ym != xm * pmat or pmat * qmat != Matrix.identity(n, p):
         raise RuntimeError("similarity transform fails P Y = X P "
                            "with P invertible")
     s_t = transpose_shape(s)
-    v1, v3 = variety_bitmaps(xm, [s, s_t], n, p)
-    v2 = variety_bitmaps(ym, [s_t], n, p)[0]
-    points = v1.indices()
-    inter_ok = ({_involution_index(i, n, p) for i in points}
-                == set(v2.indices()))
-    comp_ok = ({_composed_index(xm, i, n, p) for i in points}
-               == set(v3.indices()))
-    counts_ok = v1.count == v3.count
-    return InvolutionReport(s, s_t, p, v1.count, v3.count, inter_ok, comp_ok,
-                            inter_ok and comp_ok and counts_ok)
+    v1, v3 = variety_indices(xm, [s, s_t], n, p)
+    (v2,) = variety_indices(ym, [s_t], n, p)
+    images = _mapped((n, p), v1, lambda i: _involution_index(i, n, p))
+    composed = _mapped(xm, images,
+                       lambda i: _composed_index(pmat.rows, i, n, p))
+    inter_ok = images == set(v2)
+    comp_ok = composed == set(v3)
+    return InvolutionReport(s, s_t, p, len(v1), len(v3), inter_ok, comp_ok,
+                            inter_ok and comp_ok and len(v1) == len(v3))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +409,11 @@ def verify_decomposition(s: HessShape, p: int,
             raise ValueError("shape has no split index t_j = j with j < n")
         j = points[0]
     h1, h2 = split_shape(s, j)
-    v = variety_bitmaps(regular_nilpotent(n, p), [s], n, p)[0]
-    v1 = variety_bitmaps(regular_nilpotent(j, p), [h1], j, p)[0]
-    v2 = variety_bitmaps(regular_nilpotent(n - j, p), [h2], n - j, p)[0]
-    flags1 = [flag_at(i, j, p) for i in v1.indices()]
-    flags2 = [flag_at(i, n - j, p) for i in v2.indices()]
-    target = set(v.indices())
+    v, v1, v2 = (variety_indices(regular_nilpotent(m, p), [h], m, p)[0]
+                 for m, h in ((n, s), (j, h1), (n - j, h2)))
+    flags1 = [flag_at(i, j, p) for i in v1]
+    flags2 = [flag_at(i, n - j, p) for i in v2]
+    target = set(v)
     seen = set()
     pairs = 0
     ok = True
@@ -411,8 +427,8 @@ def verify_decomposition(s: HessShape, p: int,
             back = split_flag(prod, j)
             if back != (f1, f2):
                 ok = False
-    ok = ok and seen == target and v.count == v1.count * v2.count
-    return DecompositionReport(s, j, (h1, h2), p, v.count, v1.count, v2.count,
+    ok = ok and seen == target and len(v) == len(v1) * len(v2)
+    return DecompositionReport(s, j, (h1, h2), p, len(v), len(v1), len(v2),
                                pairs, ok)
 
 

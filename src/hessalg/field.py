@@ -12,7 +12,7 @@ matching the usual matrix-display convention. Internal storage is
 from __future__ import annotations
 
 import random
-from operator import attrgetter
+from operator import attrgetter, mul
 
 
 class Value:
@@ -83,8 +83,8 @@ class Matrix(Value):
 
     @staticmethod
     def from_rows(rows, p: int) -> "Matrix":
-        if not is_prime(p):
-            raise ValueError("modulus %r is not prime" % (p,))
+        """The rows reduced mod p. p is not checked: jordan_spec, span_of
+        and OperatorSpec.matrix check user input for primality."""
         data = tuple(tuple(int(x) % p for x in row) for row in rows)
         if not data:
             raise ValueError("matrix needs at least one row")
@@ -151,8 +151,7 @@ class Matrix(Value):
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         p = self.p
-        return tuple(sum(a * b for a, b in zip(r, vec)) % p
-                     for r in self.rows)
+        return tuple(sum(map(mul, r, vec)) % p for r in self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -163,9 +162,8 @@ class Matrix(Value):
             raise ValueError("dimension mismatch")
         p = self.p
         cols = list(zip(*other.rows))
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) % p for c in cols)
-            for r in self.rows)
+        rows = tuple(tuple(sum(map(mul, r, c)) % p for c in cols)
+                     for r in self.rows)
         return Matrix(p, rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":

@@ -15,7 +15,7 @@ bitmaps and is stable across runs.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .field import Matrix, Subspace, Value, inv_mod, span_of
@@ -51,6 +51,7 @@ def check_guards(n: int, p: int, override: bool = False) -> None:
             "pass override to force" % (n, p, size, GUARD_MAX_FLAGS))
 
 
+@lru_cache(maxsize=256)
 def q_factorial(n: int, q: int) -> int:
     total = 1
     for k in range(1, n + 1):
@@ -299,25 +300,33 @@ def chain_images(x: Matrix, f: Flag) -> tuple:
     return tuple(x.apply(c) for c in zip(*f.rep.rows))
 
 
-def chain_contains(images, pairs, f: Flag) -> bool:
-    """Whether X F_k lies in F_m for every (k, m) in pairs, stopping at the
-    first that does not: X c_1, ..., X c_k must all lie in F_m. The one
-    chain containment test: membership and the witness lemma are both read
-    through it."""
+def chain_levels(images, f: Flag) -> tuple:
+    """The least m with X c_j in F_m for each chain image, by bisection on
+    the nested spans (F_n holds every vector): at most ceil(log2(n + 1))
+    Subspace.contains tests an image."""
     spans = f.spans
-    return all(spans[m].contains(images[c]) for k, m in pairs
-               for c in range(k))
+    return tuple(bisect_left(range(f.n), True,
+                             key=lambda m: spans[m].contains(v))
+                 for v in images)
 
 
-def chain_member(images, s: HessShape, f: Flag) -> bool:
-    """Flag-chain membership read from the chain images of f: X F_j
+def chain_contains(levels, pairs) -> bool:
+    """Whether X F_k lies in F_m for every (k, m) in pairs, read from the
+    chain levels: X c_1, ..., X c_k must all lie in F_m, that is, their
+    levels are at most m. The one chain containment test: membership and
+    the witness lemma are both read through it."""
+    return all(max(levels[:k], default=0) <= m for k, m in pairs)
+
+
+def chain_member(levels, s: HessShape) -> bool:
+    """Flag-chain membership read from the chain levels of a flag: X F_j
     contained in F_{t_j} for all j."""
-    return chain_contains(images, enumerate(s.t, start=1), f)
+    return chain_contains(levels, enumerate(s.t, start=1))
 
 
 def member(x: Matrix, s: HessShape, f: Flag) -> bool:
     """Flag-chain membership test: X F_j contained in F_{t_j} for all j."""
-    return chain_member(chain_images(x, f), s, f)
+    return chain_member(chain_levels(chain_images(x, f), f), s)
 
 
 def profile(x: Matrix, f: Flag) -> tuple:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from functools import lru_cache
+from operator import le
 
 from .field import (JordanSpec, Matrix, Value, is_prime, jordan_matrix,
                     jordan_spec)
@@ -65,9 +67,13 @@ class OperatorSpec(Value):
                     for ev, size in self.blocks]
         return jordan_spec(resolved, p)
 
+    @lru_cache(maxsize=256)
     def matrix(self, p: int) -> Matrix:
+        """The operator over F_p, memoized per (operator, p)."""
         if self.blocks is not None:
             return jordan_matrix(self.jordan(p))
+        if not is_prime(p):
+            raise ValueError("modulus %r is not prime" % (p,))
         return Matrix.from_rows(self.entries, p)
 
     def is_scalar(self, p: int) -> bool:
@@ -390,14 +396,14 @@ def _remember(key, bound, hulls):
 
 
 def _below(hull, t) -> bool:
-    return all(m <= b for m, b in zip(hull, t))
+    return all(map(le, hull, t))
 
 
-def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
+def variety_indices(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
-    """Membership bitmaps for several shapes sharing one operator, from one
-    table of hull groups. Each bitmap is the union of the hull groups lying
-    below its shape."""
+    """For each of several shapes sharing one operator, the member indices
+    of Hess(X, s): an array of the hull groups lying below s, unsorted. The
+    one reader of the hull table."""
     check_guards(n, p, override)
     if x.p != p or x.nrows != n:
         raise ValueError("operator size or modulus mismatch")
@@ -406,10 +412,21 @@ def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
     if not shapes:
         return []
     hulls = _hull_groups(x, n, p, shapes)
-    return [FlagSet.from_indices(
-        itertools.chain.from_iterable(idx for h, idx in hulls.items()
-                                      if _below(h, s.t)), n, p)
-        for s in shapes]
+    out = []
+    for s in shapes:
+        idx = array("q")
+        for h, group in hulls.items():
+            if _below(h, s.t):
+                idx.extend(group)
+        out.append(idx)
+    return out
+
+
+def variety_bitmaps(x: Matrix, shapes, n: int, p: int,
+                    override: bool = False):
+    """Membership bitmaps of variety_indices."""
+    return [FlagSet.from_indices(idx, n, p)
+            for idx in variety_indices(x, shapes, n, p, override)]
 
 
 def compute_variety(x: OperatorSpec, s: HessShape, p: int,
@@ -459,12 +476,12 @@ def build_poset(x: OperatorSpec, primes,
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     n = x.n
-    shapes = enumerate_shapes(n, strict_only)
-    tables = []
+    # Check every prime before listing the shapes, which grow like 4^n.
     for p in primes:
-        xm = x.matrix(p)
+        x.matrix(p)  # refuses a modulus that is not prime
         check_guards(n, p)
-        tables.append(_hull_groups(xm, n, p, shapes))
+    shapes = enumerate_shapes(n, strict_only)
+    tables = [_hull_groups(x.matrix(p), n, p, shapes) for p in primes]
     # A shape's key is its down-set of hulls at each prime. The shapes come
     # in lex order, so the classes come out sorted by representative.
     members_of = {}

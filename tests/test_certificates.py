@@ -10,9 +10,9 @@ from hessalg.field import (Matrix, antitranspose, image_subspace,
                            regular_nilpotent, similarity_transform, span_of,
                            subspace_le)
 from hessalg.flags import (canonical_columns, canonical_form, chain,
-                           chain_contains, chain_images, flag_at, flag_text,
-                           identity_flag, iter_flags, member,
-                           permutation_flag, q_factorial)
+                           chain_contains, chain_images, chain_levels,
+                           flag_at, flag_text, identity_flag, iter_flags,
+                           member, permutation_flag, q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function, shape_text,
                             transpose_shape)
@@ -86,16 +86,17 @@ def chain_operators(draw, n, p):
 @settings(deadline=None, max_examples=80)
 @given(st.data(), st.integers(1, 4), st.sampled_from([2, 3, 5]))
 def test_the_generator_route_equals_the_canonical_route(data, n, p):
-    # X F_k is tested on the images of the first k columns of the
-    # representative; the canonical route builds X F_k as a subspace.
+    # X F_k is tested on the levels of the images of the first k columns
+    # of the representative; the canonical route builds X F_k as a
+    # subspace.
     x = data.draw(chain_operators(n, p))
     f = flag_at(data.draw(st.integers(0, q_factorial(n, p) - 1)), n, p)
     spans = [chain(f, k) for k in range(n + 1)]
     xspans = [image_subspace(x, v) for v in spans]
-    images = chain_images(x, f)
+    levels = chain_levels(chain_images(x, f), f)
     for k in range(n + 1):
         for m in range(n + 1):
-            assert (chain_contains(images, [(k, m)], f)
+            assert (chain_contains(levels, [(k, m)])
                     == subspace_le(xspans[k], spans[m]))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -224,7 +225,7 @@ def test_profile_and_chain_disagreement_is_an_error(monkeypatch):
     cert = certify_distinct(spec, s1, s2)
     real = certificates.chain_member
     monkeypatch.setattr(certificates, "chain_member",
-                        lambda images, s, f: not real(images, s, f))
+                        lambda levels, s: not real(levels, s))
     with pytest.raises(RuntimeError) as err:
         certify_distinct(spec, s1, s2)
     assert shape_text(s1) in str(err.value)
@@ -301,8 +302,14 @@ def test_verify_involution_strict_sweep_n3():
 
 # --- memos across calls ------------------------------------------------------------
 
-MEMOS = (certificates._involution_transform, certificates._involution_index,
-         certificates._composed_index, certificates._witness_entry)
+def clear_memos():
+    certificates._involution_transform.cache_clear()
+    certificates._witness_entry.cache_clear()
+    certificates._index_maps.clear()
+
+
+def index_map_sizes():
+    return {context: len(m) for context, m in certificates._index_maps.items()}
 
 
 def integer_conjugate(rows, rng, steps=8):
@@ -355,21 +362,49 @@ def test_memoized_involution_equals_the_route_without_memos():
     cases += [(jordan_operator([(0, 4)]), s, 2)
               for s in enumerate_shapes(4, strict_only=True)]
     assert len(cases) == 3 * 2 * 20 + 14
-    for memo in MEMOS:
-        memo.cache_clear()
+    clear_memos()
     cold = [verify_involution(op, s, p) for op, s, p in cases]
+    sizes = index_map_sizes()
     warm = [verify_involution(op, s, p) for op, s, p in cases]
-    assert certificates._involution_index.cache_info().hits > 0
-    assert certificates._composed_index.cache_info().hits > 0
+    # Every index the warm pass mapped was read from the maps.
+    assert index_map_sizes() == sizes and sum(sizes.values()) > 0
+    maps = certificates._index_maps
     for (op, s, p), c, w in zip(cases, cold, warm):
         report, points, inter, composed = involution_without_memos(op, s, p)
         assert c == w == report
         assert c.ok
         n, xm = s.n, op.matrix(p)
-        assert {certificates._involution_index(i, n, p)
-                for i in points} == inter
-        assert {certificates._composed_index(xm, i, n, p)
-                for i in points} == composed
+        assert {maps[(n, p)][i] for i in points} == inter
+        assert {maps[xm][j] for j in inter} == composed
+
+
+def test_a_warm_involution_adds_no_index_map_entry():
+    op = jordan_operator([(1, 2), (0, 1)])
+    clear_memos()
+    for s in enumerate_shapes(3):
+        verify_involution(op, s, 5)
+    sizes = index_map_sizes()
+    assert set(sizes) == {(3, 5), op.matrix(5)}
+    for s in enumerate_shapes(3):
+        verify_involution(op, s, 5)
+    assert index_map_sizes() == sizes
+
+
+def test_the_index_maps_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(certificates, "INDEX_MEMO_SIZE", 100)
+    monkeypatch.setattr(certificates, "INDEX_MEMO_MAPS", 3)
+    clear_memos()
+    ops = [jordan_operator([(0, 3)]), jordan_operator([(1, 2), (0, 1)]),
+           jordan_operator([(1, 1), (0, 2)])]
+    for p in (3, 5):
+        for op in ops:
+            for s in enumerate_shapes(3, strict_only=True):
+                assert verify_involution(op, s, p).ok
+                sizes = index_map_sizes()
+                assert len(sizes) <= 3 and sum(sizes.values()) <= 100
+    # A call that maps more points than the bound keeps none of them.
+    assert verify_involution(ops[0], full_shape(3), 5).count == 186
+    assert index_map_sizes() == {}
 
 
 @pytest.mark.parametrize("bad", [Matrix.identity(3, 3), Matrix.zero(3, 3, 3)])
@@ -380,7 +415,7 @@ def test_a_bad_cached_transform_is_caught(monkeypatch, bad):
     ym = certificates._involution_transform(op.matrix(3))[0]
     assert ym != op.matrix(3)
     monkeypatch.setattr(certificates, "_involution_transform",
-                        lambda x: (ym, bad))
+                        lambda x: (ym, bad, bad))
     with pytest.raises(RuntimeError, match="similarity transform"):
         verify_involution(op, borel_shape(3), 3)
 
@@ -391,7 +426,7 @@ def test_the_lemma_is_rechecked_on_a_memoized_witness(monkeypatch):
     certify_distinct(spec, s1, s2)
     hits = certificates._witness_entry.cache_info().hits
     monkeypatch.setattr(certificates, "lemma_conditions",
-                        lambda images, f, i, j: ((True, True, False), False))
+                        lambda levels, i, j: ((True, True, False), False))
     with pytest.raises(RuntimeError, match="lemma"):
         certify_distinct(spec, s1, s2)
     assert certificates._witness_entry.cache_info().hits == hits + 1

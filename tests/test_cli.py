@@ -134,7 +134,10 @@ def test_a_rank_below_one_is_a_usage_error(capsys, n):
     ["witness", "--n", "2", "--x", "jordan:a^1,0^1", "--i", "1", "--j", "2"],
     ["involution", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3"],
     ["variety", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3",
-     "--force"]])
+     "--force"],
+    ["variety", "--n", "2", "--x", "matrix:1,2;3,4", "--h", "h:2,2",
+     "--force"],
+    ["involution", "--n", "2", "--x", "matrix:1,2;3,4", "--h", "h:1,2"]])
 def test_a_modulus_that_is_not_prime_is_a_usage_error(capsys, command, p):
     code, out, err = run_cli(capsys, *command, "--p", p)
     assert (code, out) == (2, "")
@@ -400,6 +403,19 @@ def test_force_does_not_lift_the_bitmap_cap(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert "10017774259200 flags" in error
     assert "bitmap cap of 4294967296 flags" in error
+
+
+def test_poset_refuses_a_rank_over_the_cap_before_listing_shapes(
+        capsys, monkeypatch):
+    # The 2^12-odd shapes at n = 12 are never listed.
+    def refused(*args, **kwargs):
+        raise AssertionError("shapes listed")
+
+    monkeypatch.setattr("hessalg.varieties.enumerate_shapes", refused)
+    code, out, err = run_cli(capsys, "poset", "--n", "12", "--x",
+                             "jordan:0^12", "--p", "2")
+    assert (code, out) == (2, "")
+    assert "more than the bitmap cap" in json.loads(err)["error"]
 
 
 def test_output_file_option(tmp_path, capsys):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from hessalg.field import (Matrix, conjugate, regular_nilpotent, span_of,
-                           zero_subspace)
+from hessalg.field import (Matrix, conjugate, jordan_matrix, jordan_spec,
+                           regular_nilpotent, span_of, zero_subspace)
 from hessalg.flags import (FlagSet, canonical_columns, canonical_form, chain,
+                           chain_contains, chain_images, chain_levels,
                            check_guards, flag_at, flag_cell, flag_text,
                            free_positions, identity_flag, inversions,
                            iter_flags, member, permutation_flag,
@@ -253,6 +254,33 @@ def test_member_equals_adjoint_exhaustively():
             for x in xs:
                 for s in shapes:
                     assert member(x, s, f) == profile_member(x, s, f)
+
+
+# Integer conjugates E X E^-1 of [[1,1,0],[0,1,0],[0,0,0]] and of the 4 x 4
+# regular nilpotent, by fixed products E of integer elementary matrices.
+CONJ_3 = ((-32, -11, -34), (13, 4, 14), (28, 9, 30))
+CONJ_4 = ((-6, 1, -2, 0), (-14, 2, -3, 2), (10, -2, 4, 1), (-12, 2, -4, 0))
+
+
+@pytest.mark.parametrize("n, p, conj", [(3, 5, CONJ_3), (4, 3, CONJ_4)])
+def test_chain_levels_equal_the_pairwise_route(n, p, conj):
+    # The pairwise route tests X c_c in F_m for every c < k on its own;
+    # the levels come from bisection on the chain. Every flag, every
+    # (k, m), for N, a mixed type and an integer conjugate.
+    xs = [regular_nilpotent(n, p),
+          jordan_matrix(jordan_spec([(1, 2), (0, n - 2)], p)),
+          Matrix.from_rows(conj, p)]
+    for f in iter_flags(n, p):
+        spans = f.spans
+        for x in xs:
+            images = chain_images(x, f)
+            levels = chain_levels(images, f)
+            inside = [[spans[m].contains(v) for m in range(n + 1)]
+                      for v in images]
+            for k in range(n + 1):
+                for m in range(n + 1):
+                    assert (chain_contains(levels, [(k, m)])
+                            == all(inside[c][m] for c in range(k)))
 
 
 def test_profile_is_the_lowest_nonzero_row_of_the_conjugate():
