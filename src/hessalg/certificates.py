@@ -196,17 +196,6 @@ class WitnessCertificate(Value):
                  "memberships",  # shape_text -> bool, over all strict shapes
                  "in_first", "in_second")
 
-    def __init__(self, operator: JordanSpec, pair: tuple, flag: Flag,
-                 checks: tuple, memberships: dict, in_first: bool,
-                 in_second: bool):
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "flag", flag)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "memberships", memberships)
-        object.__setattr__(self, "in_first", in_first)
-        object.__setattr__(self, "in_second", in_second)
-
 
 def certify_distinct(spec: JordanSpec, s1: HessShape,
                      s2: HessShape) -> WitnessCertificate:
@@ -306,20 +295,6 @@ class InvolutionReport(Value):
                  "composed_bijection",  # onto Hess(X, transposed shape)
                  "ok")
 
-    def __init__(self, shape: HessShape, partner: HessShape, p: int,
-                 count: int, partner_count: int,
-                 intermediate_bijection: bool, composed_bijection: bool,
-                 ok: bool):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "partner", partner)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "partner_count", partner_count)
-        object.__setattr__(self, "intermediate_bijection",
-                           intermediate_bijection)
-        object.__setattr__(self, "composed_bijection", composed_bijection)
-        object.__setattr__(self, "ok", ok)
-
 
 def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport:
     n = s.n
@@ -349,8 +324,7 @@ def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport
 # ---------------------------------------------------------------------------
 
 def _cell_flag(cell: tuple, values: tuple, p: int) -> Flag:
-    n = len(cell)
-    return Flag(n, p, cell, values, _flag_index(cell, values, n, p))
+    return Flag(len(cell), p, cell, values, _flag_index(cell, values, p))
 
 
 def product_flag(f1: Flag, f2: Flag) -> Flag:
@@ -382,19 +356,6 @@ def split_flag(f: Flag, j: int):
 class DecompositionReport(Value):
     __slots__ = ("shape", "split_index", "sub_shapes", "p", "count",
                  "count1", "count2", "pairs_checked", "ok")
-
-    def __init__(self, shape: HessShape, split_index: int, sub_shapes: tuple,
-                 p: int, count: int, count1: int, count2: int,
-                 pairs_checked: int, ok: bool):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "split_index", split_index)
-        object.__setattr__(self, "sub_shapes", sub_shapes)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "count1", count1)
-        object.__setattr__(self, "count2", count2)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "ok", ok)
 
 
 def verify_decomposition(s: HessShape, p: int,
@@ -437,15 +398,6 @@ class IntervalReport(Value):
                  "bottom",  # Peterson shape
                  "top",     # full gl_n
                  "ok")
-
-    def __init__(self, n: int, decomposable: tuple, indecomposable: tuple,
-                 bottom: HessShape, top: HessShape, ok: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "decomposable", decomposable)
-        object.__setattr__(self, "indecomposable", indecomposable)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "ok", ok)
 
 
 def indecomposable_interval(n: int) -> IntervalReport:

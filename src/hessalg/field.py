@@ -16,11 +16,13 @@ from operator import attrgetter, mul
 
 
 class Value:
-    """Base of the immutable value types. A subclass names its fields in
-    __slots__ and sets them in __init__ with object.__setattr__; a slot
-    whose name starts with an underscore is a cache, not a field. Instances
-    compare and hash by their field values, only with instances of the
-    same class, and refuse assignment and deletion."""
+    """Base of the immutable value types. A subclass declares its fields in
+    __slots__, and the one constructor here takes them by position or by
+    name; a slot whose name starts with an underscore is a cache, not a
+    field. A subclass that checks its arguments or has defaults defines
+    __init__ and ends it with Value.__init__. Instances compare and hash by
+    their field values, only with instances of the same class, and refuse
+    assignment and deletion."""
 
     __slots__ = ()
 
@@ -29,6 +31,25 @@ class Value:
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         # The field values: a tuple, or the value itself for one field.
         cls._key = attrgetter(*cls._fields)
+        # The slot descriptors' setters, which bypass __setattr__.
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *args, **kw):
+        fields, k = self._fields, len(args)
+        if kw or k != len(fields):
+            # Put the values in field order, or name what is wrong.
+            for problem, names in (
+                    ("extra positional values", args[len(fields):]),
+                    ("fields given twice", [f for f in fields[:k] if f in kw]),
+                    ("unknown fields", [f for f in kw if f not in fields]),
+                    ("missing fields", [f for f in fields[k:] if f not in kw])):
+                if names:
+                    raise TypeError("%s(%s): %s %s" % (
+                        type(self).__name__, ", ".join(fields), problem,
+                        ", ".join(map(repr, names))))
+            args += tuple(kw[f] for f in fields[k:])
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,10 +97,6 @@ def inv_mod(a: int, p: int) -> int:
 
 class Matrix(Value):
     __slots__ = ("p", "rows")
-
-    def __init__(self, p: int, rows: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_rows(rows, p: int) -> "Matrix":
@@ -254,12 +271,6 @@ class Subspace(Value):
                  # subspaces are equal.
                  "pivot_rows")
 
-    def __init__(self, p: int, ambient: int, basis: tuple, pivot_rows: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivot_rows", pivot_rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -327,10 +338,6 @@ class JordanSpec(Value):
     of the same operator are equal."""
 
     __slots__ = ("p", "blocks")  # blocks: tuple of (eigenvalue, size)
-
-    def __init__(self, p: int, blocks: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:

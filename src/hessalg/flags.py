@@ -88,14 +88,6 @@ class Flag(Value):
                  "index",   # position in the global enumeration order
                  "_rep", "_spans")  # caches of rep and spans
 
-    def __init__(self, n: int, p: int, cell: tuple, values: tuple,
-                 index: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index", index)
-
     @property
     def rep(self) -> Matrix:
         """The canonical representative, built on first use."""
@@ -125,12 +117,6 @@ class FlagSet(Value):
     __slots__ = ("n", "p",
                  "size",  # total number of flags = [n]_p!
                  "bits")  # membership bitmap over the enumeration order
-
-    def __init__(self, n: int, p: int, size: int, bits: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "bits", bits)
 
     @property
     def count(self) -> int:
@@ -174,23 +160,31 @@ def bits_from_indices(indices, size: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cell_offsets(n: int, p: int):
-    """Start index of each Bruhat cell in the enumeration order."""
-    offsets = {}
-    pos = 0
-    for w in itertools.permutations(range(1, n + 1)):
-        offsets[w] = pos
-        pos += p ** inversions(w)
-    return offsets
-
-
-@lru_cache(maxsize=None)
 def _cell_starts(n: int, p: int):
     """(start indices, cells, cell lengths) in enumeration order, for
     bisection, and the flag count."""
-    offsets = _cell_offsets(n, p)
-    return (tuple(offsets.values()), tuple(offsets),
-            tuple(inversions(w) for w in offsets), q_factorial(n, p))
+    cells = tuple(itertools.permutations(range(1, n + 1)))
+    lengths = tuple(map(inversions, cells))
+    starts = tuple(itertools.accumulate((p ** k for k in lengths), initial=0))
+    return starts[:-1], cells, lengths, starts[-1]
+
+
+@lru_cache(maxsize=4096)  # every cell of n <= 6 at the four guard primes
+def _cell_offset(w: tuple, p: int) -> int:
+    """Start index of cell w in the enumeration order, from its prefixes.
+    The cells before w that first differ from it at position k put there
+    one of the a_k unused values below w_k, so they hold
+    p^(a_1+...+a_{k-1}) [a_k]_p [n-k]_p! flags, with
+    [a]_p = (p^a - 1)/(p - 1)."""
+    n = len(w)
+    unused = list(range(1, n + 1))
+    offset, power = 0, 1
+    for k, wk in enumerate(w, start=1):
+        a = bisect_left(unused, wk)
+        del unused[a]
+        offset += power * (p ** a - 1) // (p - 1) * q_factorial(n - k, p)
+        power *= p ** a
+    return offset
 
 
 def _rep_rows(w, values):
@@ -245,14 +239,14 @@ def canonical_columns(cols, p: int):
         w[k] = piv + 1
     w = tuple(w)
     values = tuple(cols[k - 1][i - 1] for (i, k) in _free_positions(w))
-    return w, values, _flag_index(w, values, n, p)
+    return w, values, _flag_index(w, values, p)
 
 
-def _flag_index(w, values, n: int, p: int) -> int:
+def _flag_index(w: tuple, values, p: int) -> int:
     rank = 0
     for v in values:
         rank = rank * p + v
-    return _cell_offsets(n, p)[tuple(w)] + rank
+    return _cell_offset(w, p) + rank
 
 
 def flag_cell(index: int, n: int, p: int):

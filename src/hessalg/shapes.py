@@ -28,8 +28,7 @@ class HessShape(Value):
                 raise ValueError("threshold %d out of range" % tj)
             if j and tj < t[j - 1]:
                 raise ValueError("thresholds must be non-decreasing")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t", t)
+        Value.__init__(self, n, t)
 
     def allowed(self, i: int, j: int) -> bool:
         """1-based: is matrix entry (i, j) inside the space?"""
@@ -55,7 +54,7 @@ class YoungDiagram(Value):
                 raise ValueError("parts must be positive")
             if k and part > parts[k - 1]:
                 raise ValueError("parts must be non-increasing")
-        object.__setattr__(self, "parts", parts)
+        Value.__init__(self, parts)
 
     @property
     def size(self) -> int:

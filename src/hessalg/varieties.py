@@ -40,10 +40,7 @@ class OperatorSpec(Value):
         if entries is not None and (
                 len(entries) != n or any(len(r) != n for r in entries)):
             raise ValueError("raw matrix must be n x n")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "entries", entries)
+        Value.__init__(self, name, n, blocks, entries)
 
     def _symbols(self):
         return sorted({ev for ev, _ in (self.blocks or ()) if isinstance(ev, str)})
@@ -105,13 +102,6 @@ def matrix_operator(rows, name: str | None = None) -> OperatorSpec:
 
 class Variety(Value):
     __slots__ = ("operator", "shape", "p", "points")
-
-    def __init__(self, operator: OperatorSpec, shape: HessShape, p: int,
-                 points: FlagSet):
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "points", points)
 
 
 def _profile_groups(x: Matrix, n: int, p: int, bound):
@@ -442,11 +432,6 @@ class EqClass(Value):
                  "shapes",   # member HessShapes, lex order on thresholds
                  "bitmaps")  # one FlagSet per prime, in the primes order
 
-    def __init__(self, name: str, shapes: tuple, bitmaps: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "bitmaps", bitmaps)
-
     @property
     def representative(self) -> HessShape:
         return self.shapes[0]
@@ -456,14 +441,6 @@ class PosetPX(Value):
     __slots__ = ("operator", "primes", "strict_only",
                  "classes",  # EqClass, sorted by representative thresholds
                  "hasse")    # (sub_name, super_name) covering edges
-
-    def __init__(self, operator: OperatorSpec, primes: tuple,
-                 strict_only: bool, classes: tuple, hasse: tuple):
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "strict_only", strict_only)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "hasse", hasse)
 
 
 def build_poset(x: OperatorSpec, primes,

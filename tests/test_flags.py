@@ -5,7 +5,8 @@ import pytest
 
 from hessalg.field import (Matrix, conjugate, jordan_matrix, jordan_spec,
                            regular_nilpotent, span_of, zero_subspace)
-from hessalg.flags import (FlagSet, canonical_columns, canonical_form, chain,
+from hessalg.flags import (FlagSet, _cell_offset, _cell_starts,
+                           canonical_columns, canonical_form, chain,
                            chain_contains, chain_images, chain_levels,
                            check_guards, flag_at, flag_cell, flag_text,
                            free_positions, identity_flag, inversions,
@@ -374,3 +375,17 @@ def test_flag_at_inverts_the_enumeration_order():
         flag_at(q_factorial(3, 2), 3, 2)
     with pytest.raises(ValueError):
         flag_at(-1, 3, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cell_offsets_from_prefixes_equal_the_cell_table(p):
+    for n in range(1, 7):
+        starts, cells, _, _ = _cell_starts(n, p)
+        assert [_cell_offset(w, p) for w in cells] == list(starts)
+
+
+def test_canonical_form_indexes_a_flag_without_listing_the_cells():
+    # The w0 cell of rank 12 is the last, with 2^66 flags. A table of all
+    # 12! (about 4.8e8) cells would not fit in memory.
+    f = canonical_form(Matrix.permutation(range(12, 0, -1), 2))
+    assert f.index == q_factorial(12, 2) - 2 ** 66

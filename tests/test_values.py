@@ -105,6 +105,44 @@ def test_value_semantics(cls, make, field, other, hashable):
     assert a == b
 
 
+def _fields_of(cls, make):
+    """The field names and values of a value built from the case."""
+    value = cls(**make())
+    return cls._fields, [getattr(value, f) for f in cls._fields]
+
+
+@pytest.mark.parametrize("cls, make", [case[:2] for case in CASES],
+                         ids=[case[0].__name__ for case in CASES])
+def test_positional_and_keyword_construction_agree(cls, make):
+    fields, values = _fields_of(cls, make)
+    by_name = cls(**dict(zip(fields, values)))
+    assert cls(*values) == by_name
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == by_name
+
+
+@pytest.mark.parametrize("cls, make", [case[:2] for case in CASES],
+                         ids=[case[0].__name__ for case in CASES])
+def test_a_bad_field_list_is_a_type_error(cls, make):
+    fields, values = _fields_of(cls, make)
+    named = dict(zip(fields, values))
+    first = fields[0]
+    # The base constructor's messages, or Python's for a checking type.
+    with pytest.raises(TypeError, match="missing.*'%s'" % first):
+        cls(**{f: v for f, v in named.items() if f != first})
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match="'not_a_field'"):
+        cls(**named, not_a_field=0)
+    with pytest.raises(TypeError, match="(twice|multiple).*'%s'" % first):
+        cls(values[0], **named)
+
+
+def test_only_checking_types_define_a_constructor():
+    assert {cls.__name__ for cls, *_ in CASES
+            if "__init__" in vars(cls)} == {"HessShape", "YoungDiagram",
+                                            "OperatorSpec"}
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: HessShape(0, ()), "rank must be positive"),
     (lambda: HessShape(2, (2,)), "threshold vector length != n"),
