@@ -18,16 +18,22 @@ change it exists to catch.
 - "distinct": for every non-scalar Jordan type at (4, 2) and (4, 3), one
   digest over the certify_distinct certificates of every pair of strict
   shapes s1 < s2 in enumerate_shapes order.
+- "stdout": for each CLI query in STDOUT_QUERIES (the six README examples
+  and two variety queries that label every flag), one digest over its
+  stdout, as UTF-8, followed by its exit code, run in process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import sys
 
+from hessalg import cli
 from hessalg import (certify_distinct, enumerate_shapes, jordan_operator,
                      jordan_spec, matrix_operator, q_factorial,
                      variety_bitmaps, verify_involution)
@@ -127,9 +133,33 @@ def distinct_digests():
     return out
 
 
+# The README examples, then every flag of (5, 2) (9,765 labels) and of
+# (4, 5) (29,016 labels) under a full shape.
+STDOUT_QUERIES = (
+    "shapes --n 3 --strict",
+    "variety --n 3 --x jordan:0^3 --h h:2,3,3 --p 2,3,5",
+    "poset --n 2 --x jordan:1^1,0^1 --p 2,3,5",
+    "witness --n 6 --x jordan:a^3,b^2,c^1 --i 2 --j 4",
+    "involution --n 3 --x jordan:0^3 --h h:1,3,3 --p 2",
+    "decompose --h h:3,3,3,5,5 --p 2",
+    "variety --n 5 --x jordan:0^5 --h h:5,5,5,5,5 --p 2",
+    "variety --n 4 --x jordan:a^1,b^1,c^1,d^1 --h h:4,4,4,4 --p 5",
+)
+
+
+def stdout_digests():
+    out = {}
+    for query in STDOUT_QUERIES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(query.split())
+        out[query] = _sha((buf.getvalue().encode(), b"exit %d\n" % code))
+    return out
+
+
 def digests():
     return {"bitmaps": bitmap_digests(), "involution": involution_digests(),
-            "distinct": distinct_digests()}
+            "distinct": distinct_digests(), "stdout": stdout_digests()}
 
 
 if __name__ == "__main__":

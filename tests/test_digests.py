@@ -20,6 +20,7 @@ EXPECTED = json.loads((DATA / "digests.json").read_text())
 @pytest.mark.parametrize("section, compute", [
     ("bitmaps", make_digests.bitmap_digests),
     ("involution", make_digests.involution_digests),
-    ("distinct", make_digests.distinct_digests)])
+    ("distinct", make_digests.distinct_digests),
+    ("stdout", make_digests.stdout_digests)])
 def test_outputs_match_the_committed_digests(section, compute):
     assert compute() == EXPECTED[section]
