@@ -213,15 +213,18 @@ def cmd_poset(args) -> int:
 
 
 def _pick_witness_prime(op, requested):
+    """--p if given, else the least guard prime hosting X, non-scalar first."""
     if requested is not None:
         return requested
+    hosts = []
     for p in GUARD_PRIMES:
         try:
-            op.jordan(p)
-            return p
+            hosts.append((op.jordan(p).is_scalar(), p))
         except ValueError:
             continue
-    raise ValueError("no supported prime can host the operator")
+    if not hosts:
+        raise ValueError("no supported prime can host the operator")
+    return min(hosts)[1]
 
 
 def cmd_witness(args) -> int:
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--p", type=int, default=None,
                     help="field for the membership table (default: smallest "
-                         "supported prime hosting the operator)")
+                         "supported prime at which X is not scalar)")
     add_common(sp)
     sp.set_defaults(func=cmd_witness)
 

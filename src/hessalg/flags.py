@@ -9,13 +9,20 @@ l(w) of them, so the total flag count is the q-factorial [n]_p!.
 Enumeration order: permutations in lexicographic order on the image
 tuple, then lexicographic on the free-parameter vector (first free
 position most significant). This order is the index space of FlagSet
-bitmaps and is stable across runs.
+bitmaps and is stable across runs. A flag's index is its cell's start
+plus its free values read in base p. With [a]_p = (p^a - 1)/(p - 1), the
+cells before w that first differ from it at position k hold
+p^(a_1+...+a_{k-1}) [a_k]_p [n-k]_p! flags, a_k being the unused values
+below w_k, and w starts at the sum of these blocks. The inverse reads the
+sum back: with k positions left and u = p^(a_1+...+a_{k-1}) [k-1]_p!, the
+next value is the a-th unused one for the largest a with [a]_p u at most
+the index left. No table of the n! cells is kept.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 
 from .field import Matrix, Subspace, Value, inv_mod, span_of
@@ -69,7 +76,7 @@ def free_positions(w):
     return list(_free_positions(tuple(w)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # every cell of n <= 6 (873 in all)
 def _free_positions(w: tuple) -> tuple:
     seen = set()
     out = []
@@ -159,32 +166,40 @@ def bits_from_indices(indices, size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@lru_cache(maxsize=None)
-def _cell_starts(n: int, p: int):
-    """(start indices, cells, cell lengths) in enumeration order, for
-    bisection, and the flag count."""
-    cells = tuple(itertools.permutations(range(1, n + 1)))
-    lengths = tuple(map(inversions, cells))
-    starts = tuple(itertools.accumulate((p ** k for k in lengths), initial=0))
-    return starts[:-1], cells, lengths, starts[-1]
+def _cell_block(a: int, k: int, p: int) -> int:
+    """[a]_p [k]_p!, a block of the index (module docstring)."""
+    return (p ** a - 1) // (p - 1) * q_factorial(k, p)
 
 
 @lru_cache(maxsize=4096)  # every cell of n <= 6 at the four guard primes
 def _cell_offset(w: tuple, p: int) -> int:
-    """Start index of cell w in the enumeration order, from its prefixes.
-    The cells before w that first differ from it at position k put there
-    one of the a_k unused values below w_k, so they hold
-    p^(a_1+...+a_{k-1}) [a_k]_p [n-k]_p! flags, with
-    [a]_p = (p^a - 1)/(p - 1)."""
+    """Start index of cell w: the sum of its blocks (module docstring)."""
     n = len(w)
     unused = list(range(1, n + 1))
     offset, power = 0, 1
     for k, wk in enumerate(w, start=1):
         a = bisect_left(unused, wk)
         del unused[a]
-        offset += power * (p ** a - 1) // (p - 1) * q_factorial(n - k, p)
+        offset += power * _cell_block(a, n - k, p)
         power *= p ** a
     return offset
+
+
+def _cells(n: int, p: int):
+    """(cell, start index, number of free values) of every cell, in order."""
+    start = 0
+    for w in itertools.permutations(range(1, n + 1)):
+        length = inversions(w)
+        yield w, start, length
+        start += p ** length
+
+
+def _digits(rank: int, length: int, p: int) -> list:
+    """The free values of a cell with length of them, from their rank."""
+    values = [0] * length
+    for k in range(length - 1, -1, -1):
+        rank, values[k] = divmod(rank, p)
+    return values
 
 
 def _rep_rows(w, values):
@@ -202,11 +217,10 @@ def _rep_rows(w, values):
 def iter_flags(n: int, p: int, override: bool = False):
     """Yield all flags in enumeration order without storing them."""
     check_guards(n, p, override)
-    idx = 0
-    for w in itertools.permutations(range(1, n + 1)):
-        for values in itertools.product(range(p), repeat=inversions(w)):
+    for w, start, length in _cells(n, p):
+        for idx, values in enumerate(
+                itertools.product(range(p), repeat=length), start):
             yield Flag(n, p, w, values, idx)
-            idx += 1
 
 
 def canonical_form(g: Matrix) -> Flag:
@@ -252,16 +266,17 @@ def _flag_index(w: tuple, values, p: int) -> int:
 def flag_cell(index: int, n: int, p: int):
     """(cell, free values) of the flag at a position of the enumeration
     order; inverse of the index that canonical_columns assigns."""
-    starts, cells, lengths, size = _cell_starts(n, p)
-    if not 0 <= index < size:
+    if not 0 <= index < q_factorial(n, p):
         raise ValueError("flag index %d out of range" % index)
-    c = bisect_right(starts, index) - 1
-    w = cells[c]
-    rank = index - starts[c]
-    values = [0] * lengths[c]
-    for k in range(len(values) - 1, -1, -1):
-        rank, values[k] = divmod(rank, p)
-    return w, tuple(values)
+    unused, w, length = list(range(1, n + 1)), [], 0
+    for k in range(n - 1, -1, -1):
+        # Take off [a]_p u = u + p u + ... for the largest a that fits.
+        a, u = 0, p ** length * q_factorial(k, p)
+        while a < k and index >= u:
+            index, u, a = index - u, u * p, a + 1
+        length += a
+        w.append(unused.pop(a))
+    return tuple(w), tuple(_digits(index, length, p))
 
 
 def flag_at(index: int, n: int, p: int) -> Flag:
@@ -350,7 +365,6 @@ def profile(x: Matrix, f: Flag) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _label_parts(w: tuple):
     """The fixed parts of the labels of cell w: the '[e..]' head and the
     'r<i>c<k>=' prefix of each free position."""
@@ -358,10 +372,9 @@ def _label_parts(w: tuple):
             tuple("r%dc%d=" % pos for pos in _free_positions(w)))
 
 
-def _cell_text(w, values) -> str:
-    """The label of the flag with cell w and the given free values: its
+def _label(head, prefixes, values) -> str:
+    """A flag's label from its cell's label parts and its free values: the
     column list plus the nonzero free-parameter assignments."""
-    head, prefixes = _label_parts(tuple(w))
     parts = [pre + str(v) for pre, v in zip(prefixes, values) if v]
     if parts:
         return head + " {" + ",".join(parts) + "}"
@@ -371,12 +384,18 @@ def _cell_text(w, values) -> str:
 def flag_text(f: Flag) -> str:
     """Column list like '[e4,e2,e5]' plus nonzero free-parameter
     assignments, e.g. '[e2,e1] {r1c1=1}'."""
-    return _cell_text(f.cell, f.values)
+    return _label(*_label_parts(tuple(f.cell)), f.values)
 
 
 def point_labels(points: FlagSet):
     """Yield the label of each member of a FlagSet, in index order,
-    without building its Flag."""
-    n, p = points.n, points.p
+    without building its Flag: the cells are walked alongside."""
+    p, end = points.p, 0
+    cells = _cells(points.n, p)
     for index in points.iter_indices():
-        yield _cell_text(*flag_cell(index, n, p))
+        if index >= end:
+            while index >= end:
+                w, start, length = next(cells)
+                end = start + p ** length
+            parts = _label_parts(w)
+        yield _label(*parts, _digits(index - start, length, p))

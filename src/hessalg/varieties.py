@@ -19,7 +19,7 @@ from operator import le
 
 from .field import (JordanSpec, Matrix, Value, is_prime, jordan_matrix,
                     jordan_spec)
-from .flags import FlagSet, check_guards, q_factorial
+from .flags import FlagSet, _cell_block, check_guards, q_factorial
 from .shapes import HessShape, diagram_text, enumerate_shapes
 
 
@@ -190,20 +190,17 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
                                 add(img, mul[c]), new, c0))
         return tuple(entries)
 
-    # [m]_p!, the number of flags over a placed prefix with m rows left.
-    fact = [q_factorial(m, p) for m in range(n + 1)]
     choice_memo = {}
 
     def choices(unused):
         """For each pivot row r of the next column, in order: r, its lane,
         the rows left, the table of the free rows above r, p^(free rows),
         and the flags in the cells with an earlier pivot here, per unit of
-        scale. Cells are in lex order, and choosing the pos-th unused row
-        adds pos inversions, so the earlier pivots hold
-        (p^pos - 1) / (p - 1) * [rows left]_p! flags per unit."""
+        scale: the block of the flag order before the pos-th unused row
+        (flags._cell_block)."""
         opts = choice_memo.get(unused)
         if opts is None:
-            left = fact[len(unused) - 1]
+            left = len(unused) - 1
             opts = choice_memo[unused] = []
             entries = tables[()]
             for pos, r in enumerate(unused):
@@ -213,8 +210,7 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
                     if entries is None:
                         entries = tables[free] = extend(head, free[-1])
                 opts.append((r, b * r, unused[:pos] + unused[pos + 1:],
-                             entries, p ** pos,
-                             (p ** pos - 1) // (p - 1) * left))
+                             entries, p ** pos, _cell_block(pos, left, p)))
         return opts
 
     def reduce(v, cols):

@@ -324,6 +324,18 @@ def test_witness_diagonalizable_column(capsys):
     assert doc["flag_columns"] == ["e1+e2", "e1"]
 
 
+def test_witness_default_prime_skips_primes_where_x_is_scalar(capsys):
+    # 2 = 0 mod 2, so diag(2, 0) is scalar at p = 2 but not at p = 3.
+    doc = run_json(capsys, "witness", "--n", "2", "--x", "jordan:2^1,0^1",
+                   "--i", "1", "--j", "2")
+    assert doc["p"] == 3
+    # 211 = 1 mod 2, 3, 5 and 7: scalar at every guard prime.
+    code, out, err = run_cli(capsys, "witness", "--n", "2", "--x",
+                             "jordan:1^1,211^1", "--i", "1", "--j", "2")
+    assert (code, out) == (2, "")
+    assert "scalar" in json.loads(err)["error"]
+
+
 def test_witness_evaluates_the_lemma_once(capsys, monkeypatch):
     argv = ("witness", "--n", "3", "--x", "jordan:0^3", "--i", "1", "--j", "2")
     calls = []

@@ -5,7 +5,7 @@ import pytest
 
 from hessalg.field import (Matrix, conjugate, jordan_matrix, jordan_spec,
                            regular_nilpotent, span_of, zero_subspace)
-from hessalg.flags import (FlagSet, _cell_offset, _cell_starts,
+from hessalg.flags import (FlagSet, _cell_offset, _flag_index,
                            canonical_columns, canonical_form, chain,
                            chain_contains, chain_images, chain_levels,
                            check_guards, flag_at, flag_cell, flag_text,
@@ -379,9 +379,30 @@ def test_flag_at_inverts_the_enumeration_order():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cell_offsets_from_prefixes_equal_the_cell_table(p):
+    # The table: cells in lex order, each holding p^l(w) flags.
     for n in range(1, 7):
-        starts, cells, _, _ = _cell_starts(n, p)
-        assert [_cell_offset(w, p) for w in cells] == list(starts)
+        start = 0
+        for w in itertools.permutations(range(1, n + 1)):
+            assert _cell_offset(w, p) == start
+            start += p ** inversions(w)
+        assert start == q_factorial(n, p)
+
+
+def test_flag_cell_inverts_the_index_at_high_rank():
+    rng = random.Random(17)
+    for n in range(7, 13):
+        for p in (2, 3, 5):
+            for _ in range(20):
+                w = tuple(rng.sample(range(1, n + 1), n))
+                values = tuple(rng.randrange(p) for _ in range(inversions(w)))
+                assert flag_cell(_flag_index(w, values, p), n, p) == (w, values)
+
+
+def test_the_last_flag_of_rank_twelve_without_listing_the_cells():
+    # The w0 cell is the last; its last flag has every free value p - 1.
+    f = flag_at(q_factorial(12, 2) - 1, 12, 2)
+    assert f.cell == tuple(range(12, 0, -1))
+    assert f.values == (1,) * 66
 
 
 def test_canonical_form_indexes_a_flag_without_listing_the_cells():
