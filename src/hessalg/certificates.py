@@ -6,19 +6,27 @@ pair i < j, an explicit flag that lies in Hess(X, H) exactly when the
 shape allows entry (i, j) below the diagonal (t_i >= j). The three
 defining conditions are re-verified at runtime on every construction, so
 a returned witness is always a checked certificate.
+
+The involution maps gB to w0 (g^T)^{-1} w0 B. The canonical representative
+of a flag in cell w is g = M w, with M unit upper triangular and nonzero
+off the diagonal only on the inversions of w (M[i][w(k)] = g[i][k]). Then
+w0 (g^T)^{-1} w0 = (w0 M^{-T} w0)(w0 w w0), and the first factor is the
+unit upper triangular factor of a canonical representative of the cell
+w0 w w0. So the image needs only M^{-1}, by back-substitution: its entry
+(i, k), 1-based, is M^{-1}[w(n+1-k)][n+1-i].
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from operator import mul
 
-from .field import (JordanSpec, Matrix, Value, antitranspose, inverse_rows,
-                    jordan_matrix, regular_nilpotent, similarity_transform)
-from .flags import (Flag, _flag_index, _rep_rows, canonical_columns,
-                    canonical_form, chain_contains, chain_images,
-                    chain_levels, chain_member, flag_at, flag_cell,
-                    flag_text, inversions, profile)
+from .field import (JordanSpec, Matrix, Value, antitranspose, jordan_matrix,
+                    lanes, regular_nilpotent, similarity_transform)
+from .flags import (Flag, _flag_index, _free_positions, canonical_form,
+                    chain_contains, chain_images, chain_levels, chain_member,
+                    flag_at, flag_cell, flag_text, inversions, packed_index,
+                    profile)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
@@ -170,24 +178,61 @@ def strict_memberships(x: Matrix, f: Flag) -> dict:
 # Bounds of the per-session memos below. Each holds work that depends only
 # on the operator, on (n, p) or on (X, i, j); the checks that use it run on
 # every call. Worst-case memory, measured with tracemalloc on full memos
-# at n = 6, p = 7 (about 3.3 MB in all):
+# at n = 6, p = 7 (about 5.1 MB in all):
 # - the transform with its inverse, 2.2 KB an operator: 64, 0.14 MB;
+# - the multiples of a matrix's packed columns, 1.9 KB a matrix: 256,
+#   0.5 MB;
 # - the index maps, 0.11 KB an index: 8,192 indices, 0.9 MB;
-# - the witness with its memberships and X, 8.5 KB an (X, i, j): 256,
-#   2.2 MB.
+# - the witness with its memberships and packed spans, 14.1 KB an
+#   (X, i, j), 6.7 KB of it the spans: 256, 3.6 MB.
 TRANSFORM_MEMO_SIZE = 64
+LANE_MEMO_SIZE = 256
 INDEX_MEMO_SIZE = 8192
 INDEX_MEMO_MAPS = 64
 WITNESS_MEMO_SIZE = 256
 
 
+@lru_cache(maxsize=LANE_MEMO_SIZE)
+def _lane_columns(m: Matrix):
+    """The multiples of each column of a square matrix, packed
+    (field.Lanes): entry r, c is c times column r. Keyed by the matrix's
+    entries, so a changed matrix gets its own multiples."""
+    ln = lanes(m.nrows, m.p)
+    return tuple(ln.multiples(ln.pack(col)) for col in zip(*m.rows))
+
+
+def _packed_spans(f: Flag):
+    """The canonical bases of the spans F_0, ..., F_n of a flag, packed,
+    as bases for field.Lanes.reduce."""
+    ln = lanes(f.n, f.p)
+    return tuple(tuple((ln.b * r, ln.multiples(ln.pack(col)))
+                       for col, r in zip(s.basis, s.pivot_rows))
+                 for s in f.spans)
+
+
+def _lane_images(xmul, f: Flag) -> tuple:
+    """The chain images X c_1, ..., X c_n of the columns of f's
+    representative, packed, from the multiples of X's columns."""
+    return lanes(f.n, f.p).product(xmul, zip(*f.rep.rows))
+
+
+def _lane_levels(images, spans, ln) -> tuple:
+    """flags.chain_levels of packed images against packed spans: the least
+    m with X c_j in F_m, by bisection on the nested spans."""
+    reduce, n = ln.reduce, len(images)
+    return tuple(bisect_left(range(n), True,
+                             key=lambda m: not reduce(v, spans[m]))
+                 for v in images)
+
+
 @lru_cache(maxsize=WITNESS_MEMO_SIZE)
 def _witness_entry(spec: JordanSpec, i: int, j: int):
-    """(witness flag, its memberships over every strict shape, X) for
-    (X, i, j). Callers copy the memberships before handing them out."""
+    """(witness flag, its memberships over every strict shape, the
+    multiples of X's packed columns, its packed spans) for (X, i, j).
+    Callers copy the memberships before handing them out."""
     x = jordan_matrix(spec)
     f = build_witness(spec, i, j)[1]
-    return f, strict_memberships(x, f), x
+    return f, strict_memberships(x, f), _lane_columns(x), _packed_spans(f)
 
 
 class WitnessCertificate(Value):
@@ -214,12 +259,12 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
     i, j = pair
-    f, memberships, x = _witness_entry(spec, i, j)
+    f, memberships, xmul, spans = _witness_entry(spec, i, j)
     memberships = dict(memberships)
     # The witness is shared between calls. Its chain images and their
     # levels are computed afresh on every call, and the lemma and the two
     # memberships the certificate rests on are re-checked from them.
-    levels = chain_levels(chain_images(x, f), f)
+    levels = _lane_levels(_lane_images(xmul, f), spans, lanes(n, spec.p))
     checks, verdict = lemma_conditions(levels, i, j)
     if not verdict:
         raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
@@ -245,20 +290,40 @@ def involution_image(f: Flag) -> Flag:
 
 
 def _involution_index(index: int, n: int, p: int) -> int:
-    """Index of w0 (g^T)^{-1} w0 for the canonical representative g of
-    the flag at an index. Its entry (i, j) is entry (n-1-j, n-1-i) of
-    g^{-1}, so column j is row n-1-j of g^{-1} reversed."""
-    inv = inverse_rows(_rep_rows(*flag_cell(index, n, p)), p)
-    return canonical_columns([inv[n - 1 - j][::-1] for j in range(n)], p)[2]
+    """Index of w0 (g^T)^{-1} w0 for the canonical representative g of the
+    flag at an index, by cell arithmetic (module docstring): entry (i, k)
+    of the image, 1-based, is entry (w(n+1-k), n+1-i) of M^{-1}."""
+    w, values = flag_cell(index, n, p)
+    # Row r of M^{-1} is e_r minus M[r][c] times row c, over the entries
+    # right of the diagonal in row r of M, where M[i][w(k)] = g[i][k].
+    above = [[] for _ in range(n)]
+    for (i, k), v in zip(_free_positions(w), values):
+        if v:
+            above[i - 1].append((w[k - 1] - 1, p - v))
+    inv = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = [0] * n
+        row[r] = 1
+        for c, m in above[r]:
+            row = [(a + m * e) % p for a, e in zip(row, inv[c])]
+        inv[r] = row
+    w2 = tuple(n + 1 - w[n - k] for k in range(1, n + 1))  # w0 w w0
+    return _flag_index(w2, [inv[w[n - k] - 1][n - i]
+                            for i, k in _free_positions(w2)], p)
 
 
-def _composed_index(prows, index: int, n: int, p: int) -> int:
+def _composed_index(pmul, index: int, n: int, p: int) -> int:
     """Index of P g for the canonical representative g of the flag at an
-    index, where P has the given rows. P g spans the same flag as P times
-    any other representative of it."""
-    g = _rep_rows(*flag_cell(index, n, p))
-    return canonical_columns(
-        [[sum(map(mul, r, c)) % p for r in prows] for c in zip(*g)], p)[2]
+    index, given the multiples of P's packed columns. P g spans the same
+    flag as P times any other representative of it."""
+    w, values = flag_cell(index, n, p)
+    ln = lanes(n, p)
+    add = ln.add
+    cols = [pmul[wk - 1][1] for wk in w]
+    for (i, k), v in zip(_free_positions(w), values):
+        if v:
+            cols[k - 1] = add(cols[k - 1], pmul[i - 1][v])
+    return packed_index(cols, ln)
 
 
 @lru_cache(maxsize=TRANSFORM_MEMO_SIZE)
@@ -268,6 +333,21 @@ def _involution_transform(x: Matrix):
     ym = antitranspose(x)
     pmat = similarity_transform(ym, x)
     return ym, pmat, (None if pmat is None else pmat.inverse())
+
+
+def _checked_transform(xm: Matrix, ym: Matrix, pmat: Matrix, qmat: Matrix):
+    """The multiples of P's packed columns, once P Y = X P and P Q = I hold,
+    with the products' columns compared as packed ints. P Q = I makes P
+    invertible."""
+    ln = lanes(xm.nrows, xm.p)
+    pmul = _lane_columns(pmat)
+    if (ln.product(pmul, zip(*ym.rows))
+            != ln.product(_lane_columns(xm), zip(*pmat.rows))
+            or ln.product(pmul, zip(*qmat.rows))
+            != tuple(1 << ln.b * j for j in range(ln.n))):
+        raise RuntimeError("similarity transform fails P Y = X P "
+                           "with P invertible")
+    return pmul
 
 
 # The involution's index maps, least recently used first: (n, p) -> {flag
@@ -302,17 +382,14 @@ def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport
     ym, pmat, qmat = _involution_transform(xm)  # ym = w0 * X^T * w0
     if pmat is None:
         raise RuntimeError("X and w0 X^T w0 must be similar")
-    # The memoized P is re-checked on every call: P Q = I makes it
-    # invertible.
-    if pmat * ym != xm * pmat or pmat * qmat != Matrix.identity(n, p):
-        raise RuntimeError("similarity transform fails P Y = X P "
-                           "with P invertible")
+    # The memoized P is re-checked on every call.
+    pmul = _checked_transform(xm, ym, pmat, qmat)
     s_t = transpose_shape(s)
     v1, v3 = variety_indices(xm, [s, s_t], n, p)
     (v2,) = variety_indices(ym, [s_t], n, p)
     images = _mapped((n, p), v1, lambda i: _involution_index(i, n, p))
     composed = _mapped(xm, images,
-                       lambda i: _composed_index(pmat.rows, i, n, p))
+                       lambda i: _composed_index(pmul, i, n, p))
     inter_ok = images == set(v2)
     comp_ok = composed == set(v3)
     return InvolutionReport(s, s_t, p, len(v1), len(v3), inter_ok, comp_ok,

@@ -213,18 +213,22 @@ def cmd_poset(args) -> int:
 
 
 def _pick_witness_prime(op, requested):
-    """--p if given, else the least guard prime hosting X, non-scalar first."""
+    """--p if given, else the least guard prime hosting X at which X is not
+    scalar and distinct integer eigenvalues stay distinct; failing that,
+    the least at which X is not scalar, then the least hosting X."""
     if requested is not None:
         return requested
+    ints = {ev for ev, _ in op.blocks if not isinstance(ev, str)}
     hosts = []
     for p in GUARD_PRIMES:
         try:
-            hosts.append((op.jordan(p).is_scalar(), p))
+            scalar = op.jordan(p).is_scalar()
         except ValueError:
             continue
+        hosts.append((scalar, len({ev % p for ev in ints}) < len(ints), p))
     if not hosts:
         raise ValueError("no supported prime can host the operator")
-    return min(hosts)[1]
+    return min(hosts)[2]
 
 
 def cmd_witness(args) -> int:
@@ -318,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--p", type=int, default=None,
                     help="field for the membership table (default: smallest "
-                         "supported prime at which X is not scalar)")
+                         "supported prime at which X is not scalar and "
+                         "distinct eigenvalues stay distinct)")
     add_common(sp)
     sp.set_defaults(func=cmd_witness)
 

@@ -12,6 +12,7 @@ matching the usual matrix-display convention. Internal storage is
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from operator import attrgetter, mul
 
 
@@ -252,6 +253,84 @@ def antitranspose(m: Matrix) -> Matrix:
     return Matrix(m.p, tuple(
         tuple(m.rows[n - 1 - j][n - 1 - i] for j in range(n))
         for i in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# Packed vectors.
+# ---------------------------------------------------------------------------
+
+class Lanes:
+    """Vectors of length n over F_p packed in one int with b-bit lanes, row
+    i in the bits from b*i, where p <= 2^(b-1).
+
+    The sum s of two reduced vectors has lanes below 2p, and
+    s - p*(((s + k) >> top) & ones) reduces every lane at once: adding
+    2^(b-1) - p to a lane sets its top bit iff the lane is >= p, and no
+    lane carries into the next. So a - y*c is a plus the negated multiple
+    (p - y)*c, reduced. A vector is zero iff its int is 0, and its lowest
+    nonzero row is (v.bit_length() - 1) // b.
+
+    The membership search inlines this arithmetic; the certificates and
+    flags.packed_index call the methods. A basis for reduce is a sequence
+    of (shift, multiples of a vector): each vector has entry 1 at row
+    shift // b, where every later vector of the sequence is 0."""
+
+    __slots__ = ("n", "p", "b", "top", "lane", "ones", "k", "add")
+
+    def __init__(self, n: int, p: int):
+        b = (p - 1).bit_length() + 1
+        top = b - 1
+        ones = sum(1 << b * i for i in range(n))
+        k = ((1 << top) - p) * ones
+        self.n, self.p, self.b, self.top = n, p, b, top
+        self.lane, self.ones, self.k = (1 << b) - 1, ones, k
+
+        def add(u, v):
+            """The reduced sum of two reduced vectors."""
+            s = u + v
+            return s - p * ((s + k) >> top & ones)
+        self.add = add
+
+    def pack(self, vec) -> int:
+        b, p = self.b, self.p
+        return sum(a % p << b * i for i, a in enumerate(vec))
+
+    def multiples(self, v) -> list:
+        """[0, v, 2v, ..., (p-1)v]."""
+        add = self.add
+        out = [0, v]
+        for _ in range(self.p - 2):
+            out.append(add(out[-1], v))
+        return out
+
+    def product(self, mults, cols) -> tuple:
+        """The packed columns of A B, given the multiples of each packed
+        column of A, in order, and the columns of B as residues."""
+        p, top, ones, k = self.p, self.top, self.ones, self.k
+        out = []
+        for col in cols:
+            v = 0
+            for m, c in zip(mults, col):
+                if c:
+                    v += m[c]
+                    v -= p * ((v + k) >> top & ones)
+            out.append(v)
+        return tuple(out)
+
+    def reduce(self, v, basis) -> int:
+        """The residual of v after reduction against a basis."""
+        lane, p, add = self.lane, self.p, self.add
+        for sh, mults in basis:
+            y = v >> sh & lane
+            if y:
+                v = add(v, mults[p - y])
+        return v
+
+
+@lru_cache(maxsize=64)
+def lanes(n: int, p: int) -> Lanes:
+    """The packed arithmetic for length n over F_p, one object per (n, p)."""
+    return Lanes(n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,33 @@ def canonical_columns(cols, p: int):
     return w, values, _flag_index(w, values, p)
 
 
+def packed_index(cols, ln) -> int:
+    """The index canonical_columns gives the flag spanned by n columns of
+    an invertible matrix, here packed vectors (field.Lanes ln). Each column
+    is reduced against the canonical columns before it and scaled to a
+    unit pivot; the last column has no free entries, so it is not scaled."""
+    p, b, lane = ln.p, ln.b, ln.lane
+    basis, canon, w = [], [], []
+    for v in cols:
+        v = ln.reduce(v, basis)
+        if not v:
+            raise ValueError("matrix is singular")
+        r = (v.bit_length() - 1) // b
+        w.append(r + 1)
+        if len(w) == len(cols):
+            break
+        mults = ln.multiples(v)
+        y = v >> b * r & lane
+        if y != 1:
+            inv = pow(y, -1, p)
+            mults = [mults[c * inv % p] for c in range(p)]
+        basis.append((b * r, mults))
+        canon.append(mults[1])
+    w = tuple(w)
+    return _flag_index(w, [canon[j - 1] >> b * (i - 1) & lane
+                           for i, j in _free_positions(w)], p)
+
+
 def _flag_index(w: tuple, values, p: int) -> int:
     rank = 0
     for v in values:
@@ -389,7 +416,9 @@ def flag_text(f: Flag) -> str:
 
 def point_labels(points: FlagSet):
     """Yield the label of each member of a FlagSet, in index order,
-    without building its Flag: the cells are walked alongside."""
+    without building its Flag: the cells are walked alongside. Members of
+    one cell come in ascending rank, so each one's free values are the
+    previous member's plus the rank step, carried in base p."""
     p, end = points.p, 0
     cells = _cells(points.n, p)
     for index in points.iter_indices():
@@ -398,4 +427,11 @@ def point_labels(points: FlagSet):
                 w, start, length = next(cells)
                 end = start + p ** length
             parts = _label_parts(w)
-        yield _label(*parts, _digits(index - start, length, p))
+            values = _digits(index - start, length, p)
+        else:
+            step, k = index - last, length - 1
+            while step:
+                step, values[k] = divmod(values[k] + step, p)
+                k -= 1
+        last = index
+        yield _label(*parts, values)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import le
 
 from .field import (JordanSpec, Matrix, Value, is_prime, jordan_matrix,
-                    jordan_spec)
+                    jordan_spec, lanes)
 from .flags import FlagSet, _cell_block, check_guards, q_factorial
 from .shapes import HessShape, diagram_text, enumerate_shapes
 
@@ -121,12 +121,8 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
     so a residual still alive at depth >= bound_j cuts the subtree; one
     that must die at the column being placed determines that column.
 
-    A vector over F_p is one int with b-bit lanes, row i in the bits from
-    b*i, where p <= 2^(b-1). The sum s of two reduced vectors has lanes
-    below 2p, and s - p*(((s + k) >> (b-1)) & ones) reduces every lane at
-    once: adding 2^(b-1) - p to a lane sets its top bit iff the lane is
-    >= p, and no lane carries into the next. So a - y*c is a plus the
-    negated multiple (p - y)*c, reduced.
+    A vector over F_p is one int with b-bit lanes (field.Lanes), whose
+    arithmetic the loops below inline.
 
     The last column is the unit vector at the one row left, placed inside
     its parent's loop. A residual still alive there dies at m = n, so the
@@ -134,25 +130,12 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
     flag is keyed with m_n = n. The key is then not its profile, but it
     has the profile's hull.
     """
-    b = (p - 1).bit_length() + 1
-    top = b - 1
-    lane = (1 << b) - 1
-    ones = sum(1 << b * i for i in range(n))
-    k = ((1 << top) - p) * ones
-
-    def add(u, v):
-        s = u + v
-        return s - p * ((s + k) >> top & ones)
+    ln = lanes(n, p)
+    b, top, lane, ones, k, add = ln.b, ln.top, ln.lane, ln.ones, ln.k, ln.add
 
     # The images X e_r, and their multiples c * X e_r.
-    ximg = [sum(a % p << b * i for i, a in enumerate(col))
-            for col in zip(*x.rows)]
-    xmul = []
-    for v in ximg:
-        mul = [0]
-        for _ in range(p - 1):
-            mul.append(add(mul[-1], v))
-        xmul.append(mul)
+    ximg = [ln.pack(col) for col in zip(*x.rows)]
+    xmul = [ln.multiples(v) for v in ximg]
 
     # One table per tuple of free rows, over its value vectors u in
     # product order (first row most significant): the packed part u, its
@@ -317,6 +300,19 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
     return groups
 
 
+class HullTable(dict):
+    """hull -> array of the indices of the flags with that hull, and the
+    table's shape memo `below`: shape thresholds -> the table's groups
+    below the shape, for at most SHAPE_MEMO_SIZE shapes. The memo holds
+    references to the groups, not indices, and goes with its table."""
+
+    __slots__ = ("below",)
+
+    def __init__(self):
+        super().__init__()
+        self.below = {}
+
+
 # The hull table of each context (X, n, p), kept across calls together with
 # the bound it was searched under. A table searched under bound B holds
 # exactly the flags whose hull is <= B, so it serves every request whose
@@ -325,14 +321,21 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
 # stored index and 0.22 KB a hull group, so the index cap holds 0.56 MB.
 # A table at n <= 6 has at most C(2n, n) = 924 groups, and at most 327 in
 # the tables under the cap tried at (6, 2): a full memo takes about 3 MB,
-# and 7 MB if every table had all 924 groups.
+# and 7 MB if every table had all 924 groups. A table's shape memo holds
+# up to 64 shapes (every shape at n <= 3, every strict shape at n <= 5),
+# a tuple of references to groups each: 86 KB measured for the 64 shapes
+# with the most groups below them on a table of 200 groups at (6, 2), so
+# about 0.14 MB on a table of 327 groups, and 4.5 MB if all 32 tables had
+# 327 groups. The 24 tables of a benchmark certify round hold 297 shapes
+# in under 35 KB.
 HULL_MEMO_SIZE = 32
 HULL_MEMO_INDICES = 1 << 16
+SHAPE_MEMO_SIZE = 64
 # (X, n, p) -> (bound, hulls, stored indices), least recently used first.
 _hull_memo = {}
 
 
-def _hull_groups(x: Matrix, n: int, p: int, shapes):
+def _hull_groups(x: Matrix, n: int, p: int, shapes) -> HullTable:
     """Indices of the flags whose profile lies below the componentwise
     maximum of the shapes, grouped by the hull (m_1, max(m_1, m_2), ...)
     of their profile. A shape is non-decreasing, so a profile lies below
@@ -355,7 +358,7 @@ def _hull_groups(x: Matrix, n: int, p: int, shapes):
         if q_factorial(n, p) <= HULL_MEMO_INDICES:
             bound = list(itertools.accumulate(
                 (n if a > b else b for a, b in zip(bound, entry[0])), max))
-    hulls = {}
+    hulls = HullTable()
     for prof, idx in _profile_groups(x, n, p, bound).items():
         hull = tuple(itertools.accumulate(prof, max))
         if hull in hulls:
@@ -389,7 +392,8 @@ def variety_indices(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
     """For each of several shapes sharing one operator, the member indices
     of Hess(X, s): an array of the hull groups lying below s, unsorted. The
-    one reader of the hull table."""
+    one reader of the hull table. A shape's groups come from the table's
+    shape memo, or from a _below scan over every hull, stored there."""
     check_guards(n, p, override)
     if x.p != p or x.nrows != n:
         raise ValueError("operator size or modulus mismatch")
@@ -398,12 +402,17 @@ def variety_indices(x: Matrix, shapes, n: int, p: int,
     if not shapes:
         return []
     hulls = _hull_groups(x, n, p, shapes)
+    below = hulls.below
     out = []
     for s in shapes:
+        groups = below.get(s.t)
+        if groups is None:
+            groups = tuple(g for h, g in hulls.items() if _below(h, s.t))
+            if len(below) < SHAPE_MEMO_SIZE:
+                below[s.t] = groups
         idx = array("q")
-        for h, group in hulls.items():
-            if _below(h, s.t):
-                idx.extend(group)
+        for group in groups:
+            idx.extend(group)
         out.append(idx)
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from hessalg import certificates
 from hessalg.field import (Matrix, antitranspose, image_subspace,
-                           inverse_rows, jordan_matrix, jordan_spec,
+                           inverse_rows, jordan_matrix, jordan_spec, lanes,
                            regular_nilpotent, similarity_transform, span_of,
                            subspace_le)
 from hessalg.flags import (canonical_columns, canonical_form, chain,
@@ -279,6 +280,45 @@ def test_involution_on_indices_equals_the_matrix_route():
         assert image == flag_at(image.index, 5, 2)
 
 
+def involution_matrix_route(index, n, p):
+    """The image's index by a general inverse and a canonicalisation on
+    lists: w0 (g^T)^{-1} w0 has entry (i, j) at (n-1-j, n-1-i) of g^{-1}."""
+    inv = inverse_rows(flag_at(index, n, p).rep.rows, p)
+    return canonical_columns([inv[n - 1 - j][::-1] for j in range(n)], p)[2]
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 3), (5, 2)])
+def test_involution_by_cell_arithmetic_equals_the_matrix_route(n, p):
+    for index in range(q_factorial(n, p)):
+        assert (certificates._involution_index(index, n, p)
+                == involution_matrix_route(index, n, p))
+
+
+def test_involution_by_cell_arithmetic_at_rank_six():
+    rng = random.Random(62)
+    for index in rng.sample(range(q_factorial(6, 2)), 500):
+        assert (certificates._involution_index(index, 6, 2)
+                == involution_matrix_route(index, 6, 2))
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 5), (4, 3), (4, 7),
+                                  (5, 2)])
+def test_the_lane_composed_index_equals_the_list_route(n, p):
+    rng = random.Random(n * 10 + p)
+    for _ in range(4):
+        while True:
+            pmat = Matrix.from_rows([[rng.randrange(p) for _ in range(n)]
+                                     for _ in range(n)], p)
+            if pmat.is_invertible():
+                break
+        pmul = certificates._lane_columns(pmat)
+        size = q_factorial(n, p)
+        for index in rng.sample(range(size), min(size, 300)):
+            g = pmat * flag_at(index, n, p).rep
+            assert (certificates._composed_index(pmul, index, n, p)
+                    == canonical_columns(g.columns(), p)[2])
+
+
 def test_verify_involution_swaps_the_two_point_varieties():
     op = jordan_operator([(1, 1), (0, 1)])
     report = verify_involution(op, shape_from_function([1, 1]), 3)
@@ -407,15 +447,30 @@ def test_the_index_maps_stay_within_their_bound(monkeypatch):
     assert index_map_sizes() == {}
 
 
-@pytest.mark.parametrize("bad", [Matrix.identity(3, 3), Matrix.zero(3, 3, 3)])
+def changed_entry(mat, i, j):
+    rows = [list(r) for r in mat.rows]
+    rows[i][j] = (rows[i][j] + 1) % mat.p
+    return Matrix.from_rows(rows, mat.p)
+
+
+@pytest.mark.parametrize("bad", [Matrix.identity(3, 3), Matrix.zero(3, 3, 3)]
+                         + [(which, i, j) for which in range(3)
+                            for i in range(3) for j in range(3)])
 def test_a_bad_cached_transform_is_caught(monkeypatch, bad):
     # The identity does not intertwine Y and X here; zero does, but is
-    # singular.
+    # singular. Then each entry of Y, P and Q in turn is changed alone.
     op = jordan_operator([(1, 2), (0, 1)])
-    ym = certificates._involution_transform(op.matrix(3))[0]
+    good = certificates._involution_transform(op.matrix(3))
+    ym = good[0]
     assert ym != op.matrix(3)
+    if isinstance(bad, Matrix):
+        memo = (ym, bad, bad)
+    else:
+        which, i, j = bad
+        memo = list(good)
+        memo[which] = changed_entry(memo[which], i, j)
     monkeypatch.setattr(certificates, "_involution_transform",
-                        lambda x: (ym, bad, bad))
+                        lambda x: tuple(memo))
     with pytest.raises(RuntimeError, match="similarity transform"):
         verify_involution(op, borel_shape(3), 3)
 
@@ -440,22 +495,52 @@ def test_chain_images_are_computed_once_per_call_and_on_every_call(
     certify_distinct(spec, s1, s2)  # builds and memoizes the witness
     hits = certificates._witness_entry.cache_info().hits
     calls = []
-    real = Matrix.apply
+    real = certificates._lane_images
 
-    def counted(x, vec):
-        calls.append(vec)
-        return real(x, vec)
+    def counted(xmul, f):
+        calls.append(real(xmul, f))
+        return calls[-1]
 
     # The chain images are the images X c_k of the witness's five
-    # columns, each computed once with Matrix.apply.
-    monkeypatch.setattr(Matrix, "apply", counted)
+    # columns, all computed in one _lane_images call.
+    monkeypatch.setattr(certificates, "_lane_images", counted)
     first = certify_distinct(spec, s1, s2)
     once = len(calls)
     second = certify_distinct(spec, s1, s2)
     assert certificates._witness_entry.cache_info().hits == hits + 2
     assert second == first
-    assert once == 5
-    assert len(calls) == 2 * once
+    assert once == 1 and len(calls) == 2
+    x = jordan_matrix(spec)
+    assert calls[0] == calls[1] == tuple(
+        map(lanes(5, 2).pack, chain_images(x, first.flag)))
+
+
+def test_the_lane_levels_equal_the_chain_levels_for_every_witness():
+    # Every non-scalar Jordan type with eigenvalues 0 and 1 over F_2 at
+    # n <= 6, and with eigenvalues 0, 1 and 2 over F_3 at n <= 5, and every
+    # pair i < j.
+    cases = [(n, 2, (0, 1)) for n in range(2, 7)]
+    cases += [(n, 3, (0, 1, 2)) for n in range(2, 6)]
+    checked = 0
+    for n, p, evs in cases:
+        types = {tuple(sorted(zip(ev_of, sizes)))
+                 for sizes in _partitions(n)
+                 for ev_of in itertools.product(evs, repeat=len(sizes))}
+        for blocks in sorted(types):
+            spec = jordan_spec(blocks, p)
+            if spec.is_scalar():
+                continue
+            x = jordan_matrix(spec)
+            xmul = certificates._lane_columns(x)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    f = build_witness(spec, i, j)[1]
+                    levels = certificates._lane_levels(
+                        certificates._lane_images(xmul, f),
+                        certificates._packed_spans(f), lanes(n, p))
+                    assert levels == chain_levels(chain_images(x, f), f)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_certificates_do_not_share_memberships():

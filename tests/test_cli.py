@@ -336,6 +336,25 @@ def test_witness_default_prime_skips_primes_where_x_is_scalar(capsys):
     assert "scalar" in json.loads(err)["error"]
 
 
+def test_witness_default_prime_keeps_distinct_eigenvalues_distinct(capsys):
+    # 2 = 0 mod 2 merges the eigenvalues of diag(J_2(2), 0) into a
+    # nilpotent operator, still not scalar; p = 3 keeps them apart.
+    doc = run_json(capsys, "witness", "--n", "3", "--x", "jordan:2^2,0^1",
+                   "--i", "1", "--j", "2")
+    assert doc["p"] == 3
+    assert doc["lemma_checks"] == [True, True, True]
+    # 4 = 1 mod 3 and 4 = 2 mod 2: p = 5 is the least that separates 4, 1
+    # and 2.
+    doc = run_json(capsys, "witness", "--n", "3", "--x",
+                   "jordan:4^1,1^1,2^1", "--i", "1", "--j", "3")
+    assert doc["p"] == 5
+    # Two eigenvalues equal as integers never separate; the least prime
+    # at which X is not scalar is taken, as before.
+    doc = run_json(capsys, "witness", "--n", "3", "--x",
+                   "jordan:1^2,1^1", "--i", "1", "--j", "2")
+    assert doc["p"] == 2
+
+
 def test_witness_evaluates_the_lemma_once(capsys, monkeypatch):
     argv = ("witness", "--n", "3", "--x", "jordan:0^3", "--i", "1", "--j", "2")
     calls = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hessalg.field import (JordanSpec, Matrix, antitranspose, conjugate,
                            image_subspace, inv_mod, jordan_matrix,
-                           jordan_spec, regular_nilpotent,
+                           jordan_spec, lanes, regular_nilpotent,
                            similarity_transform, span_of, subspace_le,
                            zero_subspace)
 
@@ -326,3 +326,43 @@ def test_similarity_matches_conjugacy_classes_on_sampled_pairs():
         for cb in members.values():
             for _ in range(2):
                 check_similarity(rng.choice(ca), rng.choice(cb), label)
+
+
+# --- packed vectors ------------------------------------------------------------------
+
+def unpack(ln, v):
+    return tuple(v >> ln.b * i & ln.lane for i in range(ln.n))
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (3, 2), (4, 3), (5, 5), (6, 7),
+                                  (3, 11), (2, 13)])
+def test_lane_arithmetic_equals_list_arithmetic(n, p):
+    ln = lanes(n, p)
+    assert ln.b == (p - 1).bit_length() + 1 and p <= 1 << ln.b - 1
+    rng = random.Random(n * 100 + p)
+    for _ in range(200):
+        u, v = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+        pu, pv = ln.pack(u), ln.pack(v)
+        assert unpack(ln, pu) == tuple(u)
+        assert unpack(ln, ln.add(pu, pv)) == tuple(
+            (a + b) % p for a, b in zip(u, v))
+        assert [unpack(ln, m) for m in ln.multiples(pv)] == [
+            tuple(c * b % p for b in v) for c in range(p)]
+        a = random_matrix(n, p, rng)
+        b = random_matrix(n, p, rng)
+        mults = [ln.multiples(ln.pack(col)) for col in a.columns()]
+        assert ln.product(mults, b.columns()) == tuple(
+            ln.pack(col) for col in (a * b).columns())
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (4, 3), (4, 5), (5, 7)])
+def test_lane_reduction_equals_subspace_reduction(n, p):
+    ln = lanes(n, p)
+    rng = random.Random(p)
+    for _ in range(100):
+        sub = span_of([[rng.randrange(p) for _ in range(n)]
+                       for _ in range(rng.randrange(n + 1))], n, p)
+        basis = [(ln.b * r, ln.multiples(ln.pack(col)))
+                 for col, r in zip(sub.basis, sub.pivot_rows)]
+        vec = [rng.randrange(p) for _ in range(n)]
+        assert unpack(ln, ln.reduce(ln.pack(vec), basis)) == sub.reduce(vec)

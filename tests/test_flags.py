@@ -4,14 +4,15 @@ import random
 import pytest
 
 from hessalg.field import (Matrix, conjugate, jordan_matrix, jordan_spec,
-                           regular_nilpotent, span_of, zero_subspace)
+                           lanes, regular_nilpotent, span_of, zero_subspace)
 from hessalg.flags import (FlagSet, _cell_offset, _flag_index,
                            canonical_columns, canonical_form, chain,
                            chain_contains, chain_images, chain_levels,
                            check_guards, flag_at, flag_cell, flag_text,
                            free_positions, identity_flag, inversions,
-                           iter_flags, member, permutation_flag,
-                           point_labels, profile, q_factorial)
+                           iter_flags, member, packed_index,
+                           permutation_flag, point_labels, profile,
+                           q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function)
 
@@ -365,6 +366,36 @@ def test_point_labels_equal_flag_text():
     size = q_factorial(4, 3)
     for k in (0, 1, 50, size // 2):
         check(FlagSet.from_indices(rng.sample(range(size), k), 4, 3))
+
+
+def test_point_labels_step_the_free_values_across_carries():
+    # At (4, 5) a cell holds up to 5^6 flags; strides of 1, 4, 6 and 31
+    # carry across one or more base-5 digits between members.
+    size = q_factorial(4, 5)
+    for stride in (1, 4, 6, 31):
+        fs = FlagSet.from_indices(range(3, size // (32 // stride), stride),
+                                  4, 5)
+        assert list(point_labels(fs)) == [
+            flag_text(flag_at(i, 4, 5)) for i in fs.indices()]
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 3), (3, 2), (3, 5), (4, 3),
+                                  (5, 2), (4, 7)])
+def test_packed_index_equals_canonical_columns(n, p):
+    ln = lanes(n, p)
+    rng = random.Random(n * 10 + p)
+    checked = 0
+    while checked < 200:
+        cols = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        packed = [ln.pack(c) for c in cols]
+        try:
+            expect = canonical_columns(cols, p)[2]
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                packed_index(packed, ln)
+            continue
+        assert packed_index(packed, ln) == expect
+        checked += 1
 
 
 def test_flag_at_inverts_the_enumeration_order():

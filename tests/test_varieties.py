@@ -16,7 +16,8 @@ from hessalg.shapes import (borel_shape, diagram_text, enumerate_shapes,
                             shape_text, transpose_shape)
 from hessalg.varieties import (OperatorSpec, build_poset, compute_variety,
                                interpolate, jordan_operator, matrix_operator,
-                               point_counts, poly_text, variety_bitmaps)
+                               point_counts, poly_text, variety_bitmaps,
+                               variety_indices)
 
 
 def cold_bitmaps(x, shapes, n, p):
@@ -407,6 +408,40 @@ def test_a_table_over_the_index_cap_is_not_stored(monkeypatch):
     assert wide.count == 7 * 7 * 3
     assert not varieties._hull_memo
     assert variety_bitmaps(x, [full_shape(4)], 4, 2)[0] == full
+
+
+def test_a_warm_read_takes_its_groups_from_the_shape_memo(monkeypatch):
+    monkeypatch.setattr(varieties, "SHAPE_MEMO_SIZE", 3)
+    scans = []
+    real = varieties._below
+
+    def counted(hull, t):
+        scans.append(t)
+        return real(hull, t)
+
+    monkeypatch.setattr(varieties, "_below", counted)
+    x = regular_nilpotent(3, 2)
+    shapes = enumerate_shapes(3)
+    cold = [sorted(cold_bitmaps(x, [s], 3, 2)[0].indices()) for s in shapes]
+    varieties._hull_memo.clear()
+    assert sorted(variety_indices(x, [peterson_shape(3)], 3, 2)[0]) == \
+        cold[shapes.index(peterson_shape(3))]
+    ((_, first, _),) = varieties._hull_memo.values()
+    assert list(first.below) == [peterson_shape(3).t]
+    # The full shape jumps the bound: the new table has a new shape memo.
+    variety_indices(x, [full_shape(3)], 3, 2)
+    ((_, table, _),) = varieties._hull_memo.values()
+    assert table is not first and list(table.below) == [full_shape(3).t]
+    warm = [sorted(variety_indices(x, [s], 3, 2)[0]) for s in shapes]
+    assert warm == cold
+    ((_, same, _),) = varieties._hull_memo.values()
+    assert same is table and len(table.below) == 3
+    scans.clear()
+    again = [sorted(variety_indices(x, [s], 3, 2)[0]) for s in shapes]
+    assert again == cold
+    # Only the shapes beyond the memo's bound scan the hulls.
+    assert {tuple(t) for t in scans} == {s.t for s in shapes} - set(
+        table.below)
 
 
 def test_the_memo_keeps_its_entry_bound_least_recently_used_first(
