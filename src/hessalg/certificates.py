@@ -4,8 +4,11 @@ antidiagonal involution, and the regular-nilpotent product decomposition.
 The witness construction builds, for a non-scalar Jordan operator and a
 pair i < j, an explicit flag that lies in Hess(X, H) exactly when the
 shape allows entry (i, j) below the diagonal (t_i >= j). The three
-defining conditions are re-verified at runtime on every construction, so
-a returned witness is always a checked certificate.
+defining conditions are re-verified at runtime on every call, so a
+returned witness is always a checked certificate: the levels of the
+witness's chain images come from one forward reduction against its
+packed canonical columns, as in flags.profile, and the lemma and both
+memberships are read from their prefix maxima.
 
 The involution maps gB to w0 (g^T)^{-1} w0 B. The canonical representative
 of a flag in cell w is g = M w, with M unit upper triangular and nonzero
@@ -13,24 +16,26 @@ off the diagonal only on the inversions of w (M[i][w(k)] = g[i][k]). Then
 w0 (g^T)^{-1} w0 = (w0 M^{-T} w0)(w0 w w0), and the first factor is the
 unit upper triangular factor of a canonical representative of the cell
 w0 w w0. So the image needs only M^{-1}, by back-substitution: its entry
-(i, k), 1-based, is M^{-1}[w(n+1-k)][n+1-i].
+(i, k), 1-based, is M^{-1}[w(n+1-k)][n+1-i]. The composed image P g is
+built from that image's cell and free values, with P from the operator's
+memoized involution context, re-checked on every call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter, le
 
 from .field import (JordanSpec, Matrix, Value, antitranspose, jordan_matrix,
                     lanes, regular_nilpotent, similarity_transform)
 from .flags import (Flag, _flag_index, _free_positions, canonical_form,
-                    chain_contains, chain_images, chain_levels, chain_member,
-                    flag_at, flag_cell, flag_text, inversions, packed_index,
-                    profile)
+                    chain_images, chain_levels, flag_cell, flag_text,
+                    inversions, packed_form)
 from .shapes import (HessShape, enumerate_shapes, full_shape, is_strict,
                      peterson_shape, shape_le, shape_text, split_points,
                      split_shape, transpose_shape)
-from .varieties import OperatorSpec, variety_indices
+from .varieties import OperatorSpec, _bound_lanes, _pack, variety_indices
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +51,19 @@ def check_lemma(x: Matrix, flag, i: int, j: int):
     f = flag if isinstance(flag, Flag) else canonical_form(flag)
     if not 1 <= i < j <= f.n:
         raise ValueError("need 1 <= i < j <= n")
-    return lemma_conditions(chain_levels(chain_images(x, f), f), i, j)
+    levels = chain_levels(chain_images(x, f), f)
+    return lemma_conditions(tuple(accumulate(levels, max)), i, j)
 
 
-def lemma_conditions(levels, i: int, j: int):
-    """check_lemma's conditions and verdict, read from the chain levels
-    of the flag (flags.chain_levels)."""
-    c1 = chain_contains(levels, ((k, k) for k in range(1, len(levels) + 1)
-                                 if not i <= k <= j))
-    c2 = chain_contains(levels, [(i, j)])
-    c3 = not chain_contains(levels, [(i, j - 1)])
+def lemma_conditions(hull, i: int, j: int):
+    """check_lemma's conditions and verdict, read from the prefix maxima
+    of the flag's chain levels (flags.chain_levels): X F_k lies in F_m iff
+    hull[k - 1] <= m."""
+    n = len(hull)
+    c1 = (all(map(le, hull[:i - 1], range(1, i)))
+          and all(map(le, hull[j:], range(j + 1, n + 1))))
+    c2 = hull[i - 1] <= j
+    c3 = hull[i - 1] >= j
     return (c1, c2, c3), (c1 and c2 and c3)
 
 
@@ -86,6 +94,16 @@ def witness_flag(spec: JordanSpec, i: int, j: int) -> Matrix:
 def build_witness(spec: JordanSpec, i: int, j: int):
     """(matrix, its flag, lemma checks) of the witness for (X, i, j); the
     checks are evaluated once and must all hold, else RuntimeError."""
+    a = Matrix.from_columns(_witness_columns(spec, i, j), spec.p)
+    f = canonical_form(a)
+    checks, verdict = check_lemma(jordan_matrix(spec), f, i, j)
+    if not verdict:
+        raise RuntimeError("witness construction failed its own checks")
+    return a, f, checks
+
+
+def _witness_columns(spec: JordanSpec, i: int, j: int) -> list:
+    """The columns of the witness matrix for (X, i, j)."""
     n = spec.n
     if spec.is_scalar():
         raise ValueError("no witness exists for a scalar operator")
@@ -151,88 +169,72 @@ def build_witness(spec: JordanSpec, i: int, j: int):
                 cols.append(basis_vec(1))
             else:
                 cols.append(basis_vec(k))
-    a = Matrix.from_columns(cols, spec.p)
-    f = canonical_form(a)
-    checks, verdict = check_lemma(jordan_matrix(spec), f, i, j)
-    if not verdict:
-        raise RuntimeError("witness construction failed its own checks")
-    return a, f, checks
+    return cols
 
 
 @lru_cache(maxsize=None)
 def _strict_shapes(n: int):
-    """(shape_text, shape) for every strict shape of rank n, in
-    enumerate_shapes order."""
-    return tuple((shape_text(s), s)
+    """(shape_text, varieties._bound_lanes(t)) of each strict shape of
+    rank n, in enumerate_shapes order."""
+    return tuple((shape_text(s), _bound_lanes(s.t))
                  for s in enumerate_shapes(n, strict_only=True))
 
 
-def strict_memberships(x: Matrix, f: Flag) -> dict:
-    """shape_text -> membership of f in Hess(X, s), over every strict shape
-    s, read from the profile of f."""
-    m = profile(x, f)
-    return {text: all(a <= b for a, b in zip(m, s.t))
-            for text, s in _strict_shapes(f.n)}
+def strict_memberships(levels, n: int) -> dict:
+    """shape_text -> membership of a flag in Hess(X, s), over every strict
+    shape s of rank n, read from its profile (flags.profile)."""
+    shapes = _strict_shapes(n)
+    b, tops, _ = shapes[0][1]
+    h = _pack(levels, b)
+    return {text: bound - h & tops == tops for text, (_, _, bound) in shapes}
 
 
 # Bounds of the per-session memos below. Each holds work that depends only
 # on the operator, on (n, p) or on (X, i, j); the checks that use it run on
-# every call. Worst-case memory, measured with tracemalloc on full memos
-# at n = 6, p = 7 (about 5.1 MB in all):
-# - the transform with its inverse, 2.2 KB an operator: 64, 0.14 MB;
-# - the multiples of a matrix's packed columns, 1.9 KB a matrix: 256,
-#   0.5 MB;
-# - the index maps, 0.11 KB an index: 8,192 indices, 0.9 MB;
-# - the witness with its memberships and packed spans, 14.1 KB an
-#   (X, i, j), 6.7 KB of it the spans: 256, 3.6 MB.
-TRANSFORM_MEMO_SIZE = 64
-LANE_MEMO_SIZE = 256
+# every call. The README gives their memory, measured with tracemalloc.
+CONTEXT_MEMO_SIZE = 64
 INDEX_MEMO_SIZE = 8192
 INDEX_MEMO_MAPS = 64
 WITNESS_MEMO_SIZE = 256
 
 
-@lru_cache(maxsize=LANE_MEMO_SIZE)
 def _lane_columns(m: Matrix):
     """The multiples of each column of a square matrix, packed
-    (field.Lanes): entry r, c is c times column r. Keyed by the matrix's
-    entries, so a changed matrix gets its own multiples."""
+    (field.Lanes): entry r, c is c times column r."""
     ln = lanes(m.nrows, m.p)
     return tuple(ln.multiples(ln.pack(col)) for col in zip(*m.rows))
 
 
-def _packed_spans(f: Flag):
-    """The canonical bases of the spans F_0, ..., F_n of a flag, packed,
-    as bases for field.Lanes.reduce."""
-    ln = lanes(f.n, f.p)
-    return tuple(tuple((ln.b * r, ln.multiples(ln.pack(col)))
-                       for col, r in zip(s.basis, s.pivot_rows))
-                 for s in f.spans)
-
-
-def _lane_images(xmul, f: Flag) -> tuple:
-    """The chain images X c_1, ..., X c_n of the columns of f's
-    representative, packed, from the multiples of X's columns."""
-    return lanes(f.n, f.p).product(xmul, zip(*f.rep.rows))
-
-
-def _lane_levels(images, spans, ln) -> tuple:
-    """flags.chain_levels of packed images against packed spans: the least
-    m with X c_j in F_m, by bisection on the nested spans."""
-    reduce, n = ln.reduce, len(images)
-    return tuple(bisect_left(range(n), True,
-                             key=lambda m: not reduce(v, spans[m]))
-                 for v in images)
+def _levels(images, basis, ln) -> tuple:
+    """flags.chain_levels of packed images, by flags.profile's reduction:
+    how many canonical columns (flags.packed_form) each takes to vanish."""
+    add, lane, p = ln.add, ln.lane, ln.p
+    out = []
+    for v in images:
+        m = 0
+        for sh, mults in basis:
+            if not v:
+                break
+            y = v >> sh & lane
+            if y:
+                v = add(v, mults[p - y])
+            m += 1
+        out.append(m + 1 if v else m)
+    return tuple(out)
 
 
 @lru_cache(maxsize=WITNESS_MEMO_SIZE)
 def _witness_entry(spec: JordanSpec, i: int, j: int):
-    """(witness flag, its memberships over every strict shape, the
-    multiples of X's packed columns, its packed spans) for (X, i, j).
-    Callers copy the memberships before handing them out."""
-    x = jordan_matrix(spec)
-    f = build_witness(spec, i, j)[1]
-    return f, strict_memberships(x, f), _lane_columns(x), _packed_spans(f)
+    """(flag, memberships, multiples of X's packed columns, columns of the
+    flag's representative, basis for _levels) of the witness for (X, i, j)."""
+    n, ln = spec.n, lanes(spec.n, spec.p)
+    w, values, index, basis = packed_form(
+        [ln.pack(c) for c in _witness_columns(spec, i, j)], ln)
+    f = Flag(n, spec.p, w, values, index)
+    cols = tuple(zip(*f.rep.rows))
+    xmul = _lane_columns(jordan_matrix(spec))
+    levels = _levels(ln.product(xmul, cols), basis, ln)
+    return f, strict_memberships(levels, n), xmul, cols, basis
 
 
 class WitnessCertificate(Value):
@@ -259,19 +261,20 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
     i, j = pair
-    f, memberships, xmul, spans = _witness_entry(spec, i, j)
+    f, memberships, xmul, cols, basis = _witness_entry(spec, i, j)
     memberships = dict(memberships)
     # The witness is shared between calls. Its chain images and their
     # levels are computed afresh on every call, and the lemma and the two
     # memberships the certificate rests on are re-checked from them.
-    levels = _lane_levels(_lane_images(xmul, f), spans, lanes(n, spec.p))
-    checks, verdict = lemma_conditions(levels, i, j)
+    ln = lanes(n, spec.p)
+    hull = tuple(accumulate(_levels(ln.product(xmul, cols), basis, ln), max))
+    checks, verdict = lemma_conditions(hull, i, j)
     if not verdict:
         raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
                            % (i, j, flag_text(f)))
     in1, in2 = (memberships[shape_text(s)] for s in (s1, s2))
     for s, held in ((s1, in1), (s2, in2)):
-        if chain_member(levels, s) != held:
+        if all(map(le, hull, s.t)) != held:
             raise RuntimeError(
                 "profile and chain membership disagree on %s at flag %s"
                 % (shape_text(s), flag_text(f)))
@@ -286,13 +289,14 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
 
 def involution_image(f: Flag) -> Flag:
     """gB -> w0 (g^T)^{-1} w0 B; an involution on the flag set."""
-    return flag_at(_involution_index(f.index, f.n, f.p), f.n, f.p)
+    return Flag(f.n, f.p, *_involution_cell(f.index, f.n, f.p))
 
 
-def _involution_index(index: int, n: int, p: int) -> int:
-    """Index of w0 (g^T)^{-1} w0 for the canonical representative g of the
-    flag at an index, by cell arithmetic (module docstring): entry (i, k)
-    of the image, 1-based, is entry (w(n+1-k), n+1-i) of M^{-1}."""
+def _involution_cell(index: int, n: int, p: int):
+    """(cell, free values, index) of w0 (g^T)^{-1} w0 for the canonical
+    representative g of the flag at an index, by cell arithmetic (module
+    docstring): entry (i, k) of the image, 1-based, is entry
+    (w(n+1-k), n+1-i) of M^{-1}."""
     w, values = flag_cell(index, n, p)
     # Row r of M^{-1} is e_r minus M[r][c] times row c, over the entries
     # right of the diagonal in row r of M, where M[i][w(k)] = g[i][k].
@@ -308,25 +312,21 @@ def _involution_index(index: int, n: int, p: int) -> int:
             row = [(a + m * e) % p for a, e in zip(row, inv[c])]
         inv[r] = row
     w2 = tuple(n + 1 - w[n - k] for k in range(1, n + 1))  # w0 w w0
-    return _flag_index(w2, [inv[w[n - k] - 1][n - i]
-                            for i, k in _free_positions(w2)], p)
+    values = tuple(inv[w[n - k] - 1][n - i] for i, k in _free_positions(w2))
+    return w2, values, _flag_index(w2, values, p)
 
 
-def _composed_index(pmul, index: int, n: int, p: int) -> int:
-    """Index of P g for the canonical representative g of the flag at an
-    index, given the multiples of P's packed columns. P g spans the same
-    flag as P times any other representative of it."""
-    w, values = flag_cell(index, n, p)
-    ln = lanes(n, p)
+def _composed_index(pmul, w, values, ln) -> int:
+    """Index of P g for the canonical representative g of cell w with the
+    free values, from the multiples of P's packed columns."""
     add = ln.add
     cols = [pmul[wk - 1][1] for wk in w]
     for (i, k), v in zip(_free_positions(w), values):
         if v:
             cols[k - 1] = add(cols[k - 1], pmul[i - 1][v])
-    return packed_index(cols, ln)
+    return packed_form(cols, ln)[2]
 
 
-@lru_cache(maxsize=TRANSFORM_MEMO_SIZE)
 def _involution_transform(x: Matrix):
     """(Y, P, Q): Y = w0 X^T w0, P with P Y P^{-1} = X and Q = P^{-1}, or
     (Y, None, None) if there is no such P."""
@@ -335,37 +335,45 @@ def _involution_transform(x: Matrix):
     return ym, pmat, (None if pmat is None else pmat.inverse())
 
 
-def _checked_transform(xm: Matrix, ym: Matrix, pmat: Matrix, qmat: Matrix):
-    """The multiples of P's packed columns, once P Y = X P and P Q = I hold,
-    with the products' columns compared as packed ints. P Q = I makes P
-    invertible."""
-    ln = lanes(xm.nrows, xm.p)
-    pmul = _lane_columns(pmat)
-    if (ln.product(pmul, zip(*ym.rows))
-            != ln.product(_lane_columns(xm), zip(*pmat.rows))
-            or ln.product(pmul, zip(*qmat.rows))
-            != tuple(1 << ln.b * j for j in range(ln.n))):
-        raise RuntimeError("similarity transform fails P Y = X P "
-                           "with P invertible")
-    return pmul
+@lru_cache(maxsize=CONTEXT_MEMO_SIZE)
+def _involution_context(x: Matrix):
+    """(Y, field.Lanes, the multiples of X's and P's packed columns, the
+    columns of P, those of Y then Q, the packed identity), or (Y,) if
+    there is no P."""
+    ym, pmat, qmat = _involution_transform(x)
+    if pmat is None:
+        return (ym,)
+    ln = lanes(x.nrows, x.p)
+    return (ym, ln, _lane_columns(x), _lane_columns(pmat),
+            tuple(zip(*pmat.rows)), (*zip(*ym.rows), *zip(*qmat.rows)),
+            tuple(1 << ln.b * j for j in range(ln.n)))
 
 
-# The involution's index maps, least recently used first: (n, p) -> {flag
-# index: its involution image's index}, X -> {flag index: P g's index}.
+# The index maps, least recently used first: (n, p) -> {flag index: (cell,
+# free values, index) of its involution image g}, X -> {flag index: P g's}.
 _index_maps = {}
+_third = itemgetter(2)
 
 
-def _mapped(context, indices, image) -> set:
-    """{image(i) for i in indices}, read from the context's index map, which
-    stores what it lacked. Then the oldest maps go until both bounds hold,
-    so a call that maps more points than INDEX_MEMO_SIZE keeps none."""
-    _index_maps[context] = memo = _index_maps.pop(context, None) or {}
-    out = {memo[i] if i in memo else memo.setdefault(i, image(i))
-           for i in indices}
-    while (len(_index_maps) > INDEX_MEMO_MAPS
-           or sum(map(len, _index_maps.values())) > INDEX_MEMO_SIZE):
+def _mapped(xm: Matrix, pmul, indices, ln):
+    """The sets of the involution images g of the indices and of P g, from
+    the index maps. Then the oldest maps go until both bounds hold."""
+    n, p = ln.n, ln.p
+    maps = [_index_maps.pop(key, None) or {} for key in ((n, p), xm)]
+    _index_maps[(n, p)], _index_maps[xm] = inv, comp = maps
+    points = set(indices)
+    grew = [points - inv.keys(), points - comp.keys()]
+    for i in grew[0]:
+        inv[i] = _involution_cell(i, n, p)
+    for i in grew[1]:
+        comp[i] = _composed_index(pmul, *inv[i][:2], ln)
+    images = set(map(_third, map(inv.__getitem__, points)))
+    composed = set(map(comp.__getitem__, points))
+    # Only a new map or new entries can break a bound.
+    while len(_index_maps) > INDEX_MEMO_MAPS or (any(grew) and sum(
+            map(len, _index_maps.values())) > INDEX_MEMO_SIZE):
         del _index_maps[next(iter(_index_maps))]
-    return out
+    return images, composed
 
 
 class InvolutionReport(Value):
@@ -379,17 +387,20 @@ class InvolutionReport(Value):
 def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport:
     n = s.n
     xm = x.matrix(p)
-    ym, pmat, qmat = _involution_transform(xm)  # ym = w0 * X^T * w0
-    if pmat is None:
+    ym, *context = _involution_context(xm)  # ym = w0 * X^T * w0
+    if not context:
         raise RuntimeError("X and w0 X^T w0 must be similar")
-    # The memoized P is re-checked on every call.
-    pmul = _checked_transform(xm, ym, pmat, qmat)
+    # The memoized P is re-checked on every call, by packed column products:
+    # P Y = X P, and P Q = I, which makes P invertible.
+    ln, xmul, pmul, pcols, yqcols, identity = context
+    pyq = ln.product(pmul, yqcols)
+    if pyq[:ln.n] != ln.product(xmul, pcols) or pyq[ln.n:] != identity:
+        raise RuntimeError("similarity transform fails P Y = X P "
+                           "with P invertible")
     s_t = transpose_shape(s)
     v1, v3 = variety_indices(xm, [s, s_t], n, p)
     (v2,) = variety_indices(ym, [s_t], n, p)
-    images = _mapped((n, p), v1, lambda i: _involution_index(i, n, p))
-    composed = _mapped(xm, images,
-                       lambda i: _composed_index(pmul, i, n, p))
+    images, composed = _mapped(xm, pmul, v1, ln)
     inter_ok = images == set(v2)
     comp_ok = composed == set(v3)
     return InvolutionReport(s, s_t, p, len(v1), len(v3), inter_ok, comp_ok,
@@ -400,34 +411,40 @@ def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport
 # Product decomposition of regular nilpotent varieties.
 # ---------------------------------------------------------------------------
 
-def _cell_flag(cell: tuple, values: tuple, p: int) -> Flag:
-    return Flag(len(cell), p, cell, values, _flag_index(cell, values, p))
-
-
 def product_flag(f1: Flag, f2: Flag) -> Flag:
-    """Block-diagonal combination of a flag on [j] and a flag on [n-j]. The
-    block diagonal of two canonical representatives is canonical: rows
-    1..j are pivot rows of the first block, so no free entry lies right of
-    column j, and the free values are those of f1, then those of f2."""
+    """Block-diagonal combination of a flag on [j] and a flag on [n-j]."""
     if f1.p != f2.p:
         raise ValueError("modulus mismatch")
-    return _cell_flag(f1.cell + tuple(w + f1.n for w in f2.cell),
-                      f1.values + f2.values, f1.p)
+    return Flag(f1.n + f2.n, f1.p, *_product_cell(
+        (f1.cell, f1.values), (f2.cell, f2.values), f1.n, f1.p))
 
 
 def split_flag(f: Flag, j: int):
     """Inverse of product_flag: the second factor is the quotient by
-    span{e_1..e_j}. Requires chain(f, j) = span{e_1..e_j}, which holds iff
-    the first j pivots lie in rows 1..j; the representative is then block
-    diagonal."""
+    span{e_1..e_j}."""
     if not 1 <= j < f.n:
         raise ValueError("split index out of range")
-    top = f.cell[:j]
+    return tuple(Flag(len(cell[0]), f.p, *cell)
+                 for cell in _split_cell(f.cell, f.values, j, f.p))
+
+
+def _product_cell(a, b, j: int, p: int):
+    """(cell, free values, index) of the product of (cell, free values) a
+    on [j] and b on [n-j]: their block diagonal is already canonical."""
+    cell, values = a[0] + tuple(w + j for w in b[0]), a[1] + b[1]
+    return cell, values, _flag_index(cell, values, p)
+
+
+def _split_cell(cell, values, j: int, p: int):
+    """The factors (cell, free values, index) of a flag whose first j
+    pivots lie in rows 1..j, that is, F_j = span{e_1..e_j}."""
+    top = cell[:j]
     if sorted(top) != list(range(1, j + 1)):
         raise ValueError("F_j is not the span of the first j basis vectors")
     k = inversions(top)
-    return (_cell_flag(top, f.values[:k], f.p),
-            _cell_flag(tuple(w - j for w in f.cell[j:]), f.values[k:], f.p))
+    bottom = tuple(w - j for w in cell[j:])
+    return ((top, values[:k], _flag_index(top, values[:k], p)),
+            (bottom, values[k:], _flag_index(bottom, values[k:], p)))
 
 
 class DecompositionReport(Value):
@@ -449,25 +466,20 @@ def verify_decomposition(s: HessShape, p: int,
     h1, h2 = split_shape(s, j)
     v, v1, v2 = (variety_indices(regular_nilpotent(m, p), [h], m, p)[0]
                  for m, h in ((n, s), (j, h1), (n - j, h2)))
-    flags1 = [flag_at(i, j, p) for i in v1]
-    flags2 = [flag_at(i, n - j, p) for i in v2]
-    target = set(v)
-    seen = set()
-    pairs = 0
-    ok = True
-    for f1 in flags1:
-        for f2 in flags2:
-            prod = product_flag(f1, f2)
-            pairs += 1
-            if prod.index not in target or prod.index in seen:
-                ok = False
-            seen.add(prod.index)
-            back = split_flag(prod, j)
-            if back != (f1, f2):
-                ok = False
+    # The factors' points and their products as (cell, free values,
+    # index); a split is checked by ranking both factors afresh.
+    cells1 = [(*flag_cell(i, j, p), i) for i in v1]
+    cells2 = [(*flag_cell(i, n - j, p), i) for i in v2]
+    target, seen, ok = set(v), set(), True
+    for a in cells1:
+        for b in cells2:
+            cell, values, index = _product_cell(a, b, j, p)
+            back = _split_cell(cell, values, j, p)
+            ok &= index in target and index not in seen and back == (a, b)
+            seen.add(index)
     ok = ok and seen == target and len(v) == len(v1) * len(v2)
     return DecompositionReport(s, j, (h1, h2), p, len(v), len(v1), len(v2),
-                               pairs, ok)
+                               len(cells1) * len(cells2), ok)
 
 
 class IntervalReport(Value):

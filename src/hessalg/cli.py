@@ -16,7 +16,7 @@ import sys
 
 from . import certificates, varieties
 from .field import jordan_matrix
-from .flags import GUARD_PRIMES, point_labels
+from .flags import GUARD_PRIMES, point_labels, profile
 from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,
                      negative_root_set, parse_ints, parse_shape, shape_text,
                      shape_to_diagram)
@@ -238,7 +238,8 @@ def cmd_witness(args) -> int:
     p = _pick_witness_prime(op, args.p)
     spec = op.jordan(p)
     a, f, checks = certificates.build_witness(spec, args.i, args.j)
-    memberships = certificates.strict_memberships(jordan_matrix(spec), f)
+    levels = profile(jordan_matrix(spec), f)
+    memberships = certificates.strict_memberships(levels, args.n)
     _emit(args, json.dumps({
         "schema": SCHEMA, "command": "witness", "operator": op.name,
         "p": p, "pair": [args.i, args.j],
@@ -353,8 +354,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}),
-              file=sys.stderr)
+        error = str(exc)
+        if error.startswith("size guard:"):
+            # Name --force, which only `variety` has, for override.
+            error, hint = error.rsplit("; ", 1)
+            error += "; " + (hint.replace("override", "--force")
+                             if args.command == "variety" else
+                             "the %s subcommand cannot lift it" % args.command)
+        print(json.dumps({"schema": SCHEMA, "error": error}), file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(json.dumps({"schema": SCHEMA, "failure": str(exc)}),

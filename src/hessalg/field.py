@@ -23,9 +23,9 @@ class Value:
     field. A subclass that checks its arguments or has defaults defines
     __init__ and ends it with Value.__init__. Instances compare and hash by
     their field values, only with instances of the same class, and refuse
-    assignment and deletion."""
+    assignment and deletion. The hash is cached in the slot _hash."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -51,6 +51,7 @@ class Value:
             args += tuple(kw[f] for f in fields[k:])
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
+        _set_hash(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -59,7 +60,9 @@ class Value:
         return key(self) == key(other)
 
     def __hash__(self):
-        return hash(self._key(self))
+        if self._hash is None:
+            _set_hash(self, hash(self._key(self)))
+        return self._hash
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, ", ".join(
@@ -75,6 +78,9 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+
+_set_hash = Value._hash.__set__
 
 
 def is_prime(p: int) -> bool:
@@ -271,7 +277,7 @@ class Lanes:
     nonzero row is (v.bit_length() - 1) // b.
 
     The membership search inlines this arithmetic; the certificates and
-    flags.packed_index call the methods. A basis for reduce is a sequence
+    flags.packed_form call the methods. A basis for reduce is a sequence
     of (shift, multiples of a vector): each vector has entry 1 at row
     shift // b, where every later vector of the sequence is 0."""
 
@@ -297,10 +303,12 @@ class Lanes:
 
     def multiples(self, v) -> list:
         """[0, v, 2v, ..., (p-1)v]."""
-        add = self.add
-        out = [0, v]
-        for _ in range(self.p - 2):
-            out.append(add(out[-1], v))
+        p, top, ones, k = self.p, self.top, self.ones, self.k
+        out, u = [0, v], v
+        for _ in range(p - 2):
+            u += v
+            u -= p * ((u + k) >> top & ones)
+            out.append(u)
         return out
 
     def product(self, mults, cols) -> tuple:
@@ -319,11 +327,12 @@ class Lanes:
 
     def reduce(self, v, basis) -> int:
         """The residual of v after reduction against a basis."""
-        lane, p, add = self.lane, self.p, self.add
+        p, lane, top, ones, k = self.p, self.lane, self.top, self.ones, self.k
         for sh, mults in basis:
             y = v >> sh & lane
             if y:
-                v = add(v, mults[p - y])
+                v += mults[p - y]
+                v -= p * ((v + k) >> top & ones)
         return v
 
 
@@ -442,6 +451,7 @@ def jordan_spec(blocks, p: int) -> JordanSpec:
     return JordanSpec(p, tuple(blocks))
 
 
+@lru_cache(maxsize=256)
 def jordan_matrix(spec: JordanSpec) -> Matrix:
     """Block-diagonal Jordan matrix in the spec's canonical block order."""
     n = spec.n

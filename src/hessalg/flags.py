@@ -256,20 +256,20 @@ def canonical_columns(cols, p: int):
     return w, values, _flag_index(w, values, p)
 
 
-def packed_index(cols, ln) -> int:
-    """The index canonical_columns gives the flag spanned by n columns of
-    an invertible matrix, here packed vectors (field.Lanes ln). Each column
-    is reduced against the canonical columns before it and scaled to a
-    unit pivot; the last column has no free entries, so it is not scaled."""
+def packed_form(cols, ln):
+    """canonical_columns of n packed columns (field.Lanes ln), and a basis
+    for ln.reduce of the canonical columns but the last, which has no free
+    entries and is not scaled to a unit pivot."""
     p, b, lane = ln.p, ln.b, ln.lane
     basis, canon, w = [], [], []
+    last = len(cols) - 1
     for v in cols:
         v = ln.reduce(v, basis)
         if not v:
             raise ValueError("matrix is singular")
         r = (v.bit_length() - 1) // b
         w.append(r + 1)
-        if len(w) == len(cols):
+        if len(basis) == last:
             break
         mults = ln.multiples(v)
         y = v >> b * r & lane
@@ -279,8 +279,9 @@ def packed_index(cols, ln) -> int:
         basis.append((b * r, mults))
         canon.append(mults[1])
     w = tuple(w)
-    return _flag_index(w, [canon[j - 1] >> b * (i - 1) & lane
-                           for i, j in _free_positions(w)], p)
+    values = tuple(canon[j - 1] >> b * (i - 1) & lane
+                   for i, j in _free_positions(w))
+    return w, values, _flag_index(w, values, p), basis
 
 
 def _flag_index(w: tuple, values, p: int) -> int:
@@ -349,20 +350,14 @@ def chain_levels(images, f: Flag) -> tuple:
 def chain_contains(levels, pairs) -> bool:
     """Whether X F_k lies in F_m for every (k, m) in pairs, read from the
     chain levels: X c_1, ..., X c_k must all lie in F_m, that is, their
-    levels are at most m. The one chain containment test: membership and
-    the witness lemma are both read through it."""
+    levels are at most m."""
     return all(max(levels[:k], default=0) <= m for k, m in pairs)
-
-
-def chain_member(levels, s: HessShape) -> bool:
-    """Flag-chain membership read from the chain levels of a flag: X F_j
-    contained in F_{t_j} for all j."""
-    return chain_contains(levels, enumerate(s.t, start=1))
 
 
 def member(x: Matrix, s: HessShape, f: Flag) -> bool:
     """Flag-chain membership test: X F_j contained in F_{t_j} for all j."""
-    return chain_member(chain_levels(chain_images(x, f), f), s)
+    return chain_contains(chain_levels(chain_images(x, f), f),
+                          enumerate(s.t, start=1))
 
 
 def profile(x: Matrix, f: Flag) -> tuple:

@@ -11,6 +11,9 @@ exactly the classical Hessenberg functions.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from functools import lru_cache
+from operator import ge, le
 
 from .field import Value
 
@@ -23,11 +26,12 @@ class HessShape(Value):
             raise ValueError("rank must be positive")
         if len(t) != n:
             raise ValueError("threshold vector length != n")
-        for j, tj in enumerate(t):
-            if not 0 <= tj <= n:
-                raise ValueError("threshold %d out of range" % tj)
-            if j and tj < t[j - 1]:
-                raise ValueError("thresholds must be non-decreasing")
+        if not (0 <= t[0] and t[-1] <= n and all(map(le, t, t[1:]))):
+            for j, tj in enumerate(t):  # name the first fault
+                if not 0 <= tj <= n:
+                    raise ValueError("threshold %d out of range" % tj)
+                if j and tj < t[j - 1]:
+                    raise ValueError("thresholds must be non-decreasing")
         Value.__init__(self, n, t)
 
     def allowed(self, i: int, j: int) -> bool:
@@ -71,12 +75,12 @@ class YoungDiagram(Value):
 def shape_from_function(h) -> HessShape:
     """Build a shape from a threshold/Hessenberg-function vector. Raises on
     decreasing or out-of-range input; strictness is h(i) >= max(i, h(i-1))."""
-    t = tuple(int(x) for x in h)
+    t = tuple(map(int, h))
     return HessShape(len(t), t)
 
 
 def is_strict(s: HessShape) -> bool:
-    return all(tj >= j for j, tj in enumerate(s.t, start=1))
+    return all(map(ge, s.t, range(1, s.n + 1)))
 
 
 def shape_to_diagram(s: HessShape) -> YoungDiagram:
@@ -117,14 +121,14 @@ def shape_le(s1: HessShape, s2: HessShape) -> bool:
     return all(a <= b for a, b in zip(s1.t, s2.t))
 
 
+@lru_cache(maxsize=256)
 def transpose_shape(s: HessShape) -> HessShape:
     """The shape whose mask is the antidiagonal flip of s's mask; its
-    diagram is the conjugate of s's diagram. An involution."""
+    diagram is the conjugate of s's diagram. An involution. Threshold j
+    counts the columns with t_c >= n + 1 - j."""
     n = s.n
-    t = tuple(sum(1 for i in range(1, n + 1)
-                  if s.t[n - i] >= n + 1 - j)
-              for j in range(1, n + 1))
-    return HessShape(n, t)
+    return HessShape(n, tuple(n - bisect_left(s.t, n + 1 - j)
+                              for j in range(1, n + 1)))
 
 
 def negative_root_set(s: HessShape):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import lru_cache
-from operator import le
+from operator import le, lshift
 
 from .field import (JordanSpec, Matrix, Value, is_prime, jordan_matrix,
                     jordan_spec, lanes)
@@ -304,33 +304,35 @@ class HullTable(dict):
     """hull -> array of the indices of the flags with that hull, and the
     table's shape memo `below`: shape thresholds -> the table's groups
     below the shape, for at most SHAPE_MEMO_SIZE shapes. The memo holds
-    references to the groups, not indices, and goes with its table."""
+    references to the groups, not indices, and goes with its table, as
+    does `packed`, the hulls packed by _groups_below on its first call."""
 
-    __slots__ = ("below",)
+    __slots__ = ("below", "packed")
 
     def __init__(self):
         super().__init__()
         self.below = {}
+        self.packed = None
 
 
 # The hull table of each context (X, n, p), kept across calls together with
 # the bound it was searched under. A table searched under bound B holds
 # exactly the flags whose hull is <= B, so it serves every request whose
-# bound is <= B; callers pick the hulls below each shape with _below and
-# must not change the table. Memory, measured with tracemalloc: 8.6 B a
-# stored index and 0.22 KB a hull group, so the index cap holds 0.56 MB.
-# A table at n <= 6 has at most C(2n, n) = 924 groups, and at most 327 in
-# the tables under the cap tried at (6, 2): a full memo takes about 3 MB,
-# and 7 MB if every table had all 924 groups. A table's shape memo holds
-# up to 64 shapes (every shape at n <= 3, every strict shape at n <= 5),
-# a tuple of references to groups each: 86 KB measured for the 64 shapes
-# with the most groups below them on a table of 200 groups at (6, 2), so
-# about 0.14 MB on a table of 327 groups, and 4.5 MB if all 32 tables had
-# 327 groups. The 24 tables of a benchmark certify round hold 297 shapes
-# in under 35 KB.
+# bound is <= B; callers must not change the table. A table's shape memo
+# holds up to 64 shapes (every shape at n <= 3, every strict shape at
+# n <= 5). The README gives the memory of a full memo, measured with
+# tracemalloc: about 3 MB, and 7 MB if every table had all C(2n, n) = 924
+# groups of n = 6, with 4.5 MB more for the shape memos and 3 MB for the
+# packed hulls.
 HULL_MEMO_SIZE = 32
 HULL_MEMO_INDICES = 1 << 16
 SHAPE_MEMO_SIZE = 64
+# A search of a small context costs little more under the full bound than
+# under a partial one, which must still build the first levels of the
+# tree (65-110 us at n = 3 for a bound that admits no flag, 0.2-0.7 ms for
+# every flag at (3, 3) and (3, 5)). So such a context is searched in full
+# once a request outgrows its table, in place of up to n - 1 more searches.
+FULL_SEARCH_FLAGS = 1 << 10
 # (X, n, p) -> (bound, hulls, stored indices), least recently used first.
 _hull_memo = {}
 
@@ -343,19 +345,23 @@ def _hull_groups(x: Matrix, n: int, p: int, shapes) -> HullTable:
 
     The table may hold more flags than asked for: it comes from the memo
     when a search of the context under a larger bound is stored there. A
-    request the stored table does not cover searches again, and every
-    coordinate of the bound that grew jumps to n (then the running max
-    keeps it non-decreasing), so a context is searched at most n + 1 times.
-    A context with more flags than the memo can hold is searched under the
-    requested bound alone, as a cold call is."""
-    bound = [max(col) for col in zip(*(s.t for s in shapes))]
+    request the stored table does not cover searches again: a context of
+    at most FULL_SEARCH_FLAGS flags under the full bound, so it is searched
+    at most twice; a larger one with every coordinate of the bound that
+    grew jumped to n (then the running max keeps it non-decreasing), so it
+    is searched at most n + 1 times. A context with more flags than the
+    memo can hold is searched under the requested bound alone, as a cold
+    call is."""
+    bound = list(map(max, zip(*(s.t for s in shapes))))
     key = (x, n, p)
     entry = _hull_memo.get(key)
     if entry is not None:
-        if all(a <= b for a, b in zip(bound, entry[0])):
+        if all(map(le, bound, entry[0])):
             _hull_memo[key] = _hull_memo.pop(key)
             return entry[1]
-        if q_factorial(n, p) <= HULL_MEMO_INDICES:
+        if q_factorial(n, p) <= FULL_SEARCH_FLAGS:
+            bound = [n] * n
+        elif q_factorial(n, p) <= HULL_MEMO_INDICES:
             bound = list(itertools.accumulate(
                 (n if a > b else b for a, b in zip(bound, entry[0])), max))
     hulls = HullTable()
@@ -388,12 +394,39 @@ def _below(hull, t) -> bool:
     return all(map(le, hull, t))
 
 
+def _pack(v, b: int) -> int:  # b-bit lanes, the first entry lowest
+    return sum(map(lshift, v, range(0, b * len(v), b)))
+
+
+@lru_cache(maxsize=256)
+def _bound_lanes(t):
+    """(b, tops, bound): h in 0..n lies below t iff bound - _pack(h, b),
+    with bound = tops + _pack(t, b), keeps every lane's top bit (tops)."""
+    b = len(t).bit_length() + 1
+    tops = _pack([1 << b - 1] * len(t), b)
+    return b, tops, tops + _pack(t, b)
+
+
+def _groups_below(hulls: HullTable, t) -> tuple:
+    """The groups of a table whose hull lies below t (_below), from its shape
+    memo or by _bound_lanes, stored there while it has room."""
+    groups = hulls.below.get(t)
+    if groups is None:
+        b, tops, bound = _bound_lanes(t)
+        if hulls.packed is None:
+            hulls.packed = [(_pack(h, b), g) for h, g in hulls.items()]
+        groups = tuple(g for h, g in hulls.packed if bound - h & tops == tops)
+        if len(hulls.below) < SHAPE_MEMO_SIZE:
+            hulls.below[t] = groups
+    return groups
+
+
 def variety_indices(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
     """For each of several shapes sharing one operator, the member indices
     of Hess(X, s): an array of the hull groups lying below s, unsorted. The
-    one reader of the hull table. A shape's groups come from the table's
-    shape memo, or from a _below scan over every hull, stored there."""
+    one reader of the hull table, through its shape memo (_groups_below),
+    which is read first."""
     check_guards(n, p, override)
     if x.p != p or x.nrows != n:
         raise ValueError("operator size or modulus mismatch")
@@ -401,15 +434,18 @@ def variety_indices(x: Matrix, shapes, n: int, p: int,
         raise ValueError("shape rank != operator rank")
     if not shapes:
         return []
-    hulls = _hull_groups(x, n, p, shapes)
-    below = hulls.below
+    # A table serves the shapes in its shape memo: it becomes the most
+    # recently used, as _hull_groups would make it.
+    key = (x, n, p)
+    entry = _hull_memo.get(key)
+    found = entry and [entry[1].below.get(s.t) for s in shapes]
+    if found and None not in found:
+        _hull_memo[key] = _hull_memo.pop(key)
+    else:
+        hulls = _hull_groups(x, n, p, shapes)
+        found = [_groups_below(hulls, s.t) for s in shapes]
     out = []
-    for s in shapes:
-        groups = below.get(s.t)
-        if groups is None:
-            groups = tuple(g for h, g in hulls.items() if _below(h, s.t))
-            if len(below) < SHAPE_MEMO_SIZE:
-                below[s.t] = groups
+    for groups in found:
         idx = array("q")
         for group in groups:
             idx.extend(group)

@@ -6,14 +6,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hessalg import certificates
-from hessalg.field import (Matrix, antitranspose, image_subspace,
+from hessalg.field import (Lanes, Matrix, antitranspose, image_subspace,
                            inverse_rows, jordan_matrix, jordan_spec, lanes,
                            regular_nilpotent, similarity_transform, span_of,
                            subspace_le)
 from hessalg.flags import (canonical_columns, canonical_form, chain,
                            chain_contains, chain_images, chain_levels,
-                           flag_at, flag_text, identity_flag, iter_flags,
-                           member, permutation_flag, q_factorial)
+                           flag_at, flag_cell, flag_text, identity_flag,
+                           iter_flags, member, permutation_flag, profile,
+                           q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
                             peterson_shape, shape_from_function, shape_text,
                             transpose_shape)
@@ -220,17 +221,22 @@ def test_the_distinctness_theorem_at_rank_five_over_f2():
                     assert member(x, s, f) == (s.t[i - 1] >= j)
 
 
-def test_profile_and_chain_disagreement_is_an_error(monkeypatch):
+def test_profile_and_chain_disagreement_is_an_error():
+    # The memoized memberships (the profile's) disagree on s1 with the
+    # levels the call computes afresh.
     spec = jordan_spec([(0, 3)], 2)
     s1, s2 = borel_shape(3), shape_from_function([2, 3, 3])
     cert = certify_distinct(spec, s1, s2)
-    real = certificates.chain_member
-    monkeypatch.setattr(certificates, "chain_member",
-                        lambda levels, s: not real(levels, s))
-    with pytest.raises(RuntimeError) as err:
-        certify_distinct(spec, s1, s2)
-    assert shape_text(s1) in str(err.value)
-    assert flag_text(cert.flag) in str(err.value)
+    memo = certificates._witness_entry(spec, *cert.pair)[1]
+    memo[shape_text(s1)] = not memo[shape_text(s1)]
+    try:
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as err:
+                certify_distinct(spec, s1, s2)
+            assert shape_text(s1) in str(err.value)
+            assert flag_text(cert.flag) in str(err.value)
+    finally:
+        certificates._witness_entry.cache_clear()
 
 
 def test_certify_distinct_validates_input():
@@ -280,25 +286,56 @@ def test_involution_on_indices_equals_the_matrix_route():
         assert image == flag_at(image.index, 5, 2)
 
 
-def involution_matrix_route(index, n, p):
-    """The image's index by a general inverse and a canonicalisation on
-    lists: w0 (g^T)^{-1} w0 has entry (i, j) at (n-1-j, n-1-i) of g^{-1}."""
+def involution_columns(index, n, p):
+    """The columns of w0 (g^T)^{-1} w0 for the canonical representative g
+    of the flag at an index, by a general inverse: its entry (i, j) is
+    entry (n-1-j, n-1-i) of g^{-1}."""
     inv = inverse_rows(flag_at(index, n, p).rep.rows, p)
-    return canonical_columns([inv[n - 1 - j][::-1] for j in range(n)], p)[2]
+    return [inv[n - 1 - j][::-1] for j in range(n)]
+
+
+def involution_matrix_route(index, n, p):
+    """The image's (cell, free values, index) by a general inverse and a
+    canonicalisation on lists."""
+    return canonical_columns(involution_columns(index, n, p), p)
 
 
 @pytest.mark.parametrize("n, p", [(3, 5), (4, 3), (5, 2)])
 def test_involution_by_cell_arithmetic_equals_the_matrix_route(n, p):
     for index in range(q_factorial(n, p)):
-        assert (certificates._involution_index(index, n, p)
+        assert (certificates._involution_cell(index, n, p)
                 == involution_matrix_route(index, n, p))
 
 
 def test_involution_by_cell_arithmetic_at_rank_six():
     rng = random.Random(62)
     for index in rng.sample(range(q_factorial(6, 2)), 500):
-        assert (certificates._involution_index(index, 6, 2)
+        assert (certificates._involution_cell(index, 6, 2)
                 == involution_matrix_route(index, 6, 2))
+
+
+def random_invertible(n, p, rng):
+    while True:
+        pmat = Matrix.from_rows([[rng.randrange(p) for _ in range(n)]
+                                 for _ in range(n)], p)
+        if pmat.is_invertible():
+            return pmat
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 3), (5, 2)])
+def test_the_composed_index_from_the_involution_cell_equals_the_matrix_route(
+        n, p):
+    # P g' for g' = w0 (g^T)^{-1} w0, from the cell and free values of the
+    # involution image, on every flag; the route on lists multiplies P by
+    # the general inverse's columns and canonicalises.
+    pmat = random_invertible(n, p, random.Random(n * 100 + p))
+    pmul = certificates._lane_columns(pmat)
+    ln = lanes(n, p)
+    for index in range(q_factorial(n, p)):
+        w, values, _ = certificates._involution_cell(index, n, p)
+        cols = [pmat.apply(c) for c in involution_columns(index, n, p)]
+        assert (certificates._composed_index(pmul, w, values, ln)
+                == canonical_columns(cols, p)[2])
 
 
 @pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 5), (4, 3), (4, 7),
@@ -306,17 +343,14 @@ def test_involution_by_cell_arithmetic_at_rank_six():
 def test_the_lane_composed_index_equals_the_list_route(n, p):
     rng = random.Random(n * 10 + p)
     for _ in range(4):
-        while True:
-            pmat = Matrix.from_rows([[rng.randrange(p) for _ in range(n)]
-                                     for _ in range(n)], p)
-            if pmat.is_invertible():
-                break
+        pmat = random_invertible(n, p, rng)
         pmul = certificates._lane_columns(pmat)
         size = q_factorial(n, p)
         for index in rng.sample(range(size), min(size, 300)):
             g = pmat * flag_at(index, n, p).rep
-            assert (certificates._composed_index(pmul, index, n, p)
-                    == canonical_columns(g.columns(), p)[2])
+            assert (certificates._composed_index(
+                pmul, *flag_cell(index, n, p), lanes(n, p))
+                == canonical_columns(g.columns(), p)[2])
 
 
 def test_verify_involution_swaps_the_two_point_varieties():
@@ -343,7 +377,7 @@ def test_verify_involution_strict_sweep_n3():
 # --- memos across calls ------------------------------------------------------------
 
 def clear_memos():
-    certificates._involution_transform.cache_clear()
+    certificates._involution_context.cache_clear()
     certificates._witness_entry.cache_clear()
     certificates._index_maps.clear()
 
@@ -414,8 +448,11 @@ def test_memoized_involution_equals_the_route_without_memos():
         assert c == w == report
         assert c.ok
         n, xm = s.n, op.matrix(p)
-        assert {maps[(n, p)][i] for i in points} == inter
-        assert {maps[xm][j] for j in inter} == composed
+        assert {maps[(n, p)][i] for i in points} == {
+            canonical_columns(involution_columns(i, n, p), p)
+            for i in points}
+        assert {maps[(n, p)][i][2] for i in points} == inter
+        assert {maps[xm][i] for i in points} == composed
 
 
 def test_a_warm_involution_adds_no_index_map_entry():
@@ -447,6 +484,21 @@ def test_the_index_maps_stay_within_their_bound(monkeypatch):
     assert index_map_sizes() == {}
 
 
+def test_refilling_one_index_map_keeps_the_bound(monkeypatch):
+    # The (n, p) map can go while X's map stays; refilling it must still
+    # respect INDEX_MEMO_SIZE, though X's map gains no entry.
+    monkeypatch.setattr(certificates, "INDEX_MEMO_SIZE", 60)
+    clear_memos()
+    op = jordan_operator([(1, 2), (0, 1)])
+    s = shape_from_function([2, 3, 3])
+    report = verify_involution(op, s, 5)
+    assert report.ok and 30 < report.count <= 60
+    # Both maps would hold more than 60 entries: the older one goes.
+    assert index_map_sizes() == {op.matrix(5): report.count}
+    assert verify_involution(op, s, 5) == report
+    assert index_map_sizes() == {op.matrix(5): report.count}
+
+
 def changed_entry(mat, i, j):
     rows = [list(r) for r in mat.rows]
     rows[i][j] = (rows[i][j] + 1) % mat.p
@@ -459,6 +511,8 @@ def changed_entry(mat, i, j):
 def test_a_bad_cached_transform_is_caught(monkeypatch, bad):
     # The identity does not intertwine Y and X here; zero does, but is
     # singular. Then each entry of Y, P and Q in turn is changed alone.
+    # The operator's memoized context is built from the bad transform, and
+    # every call on it must fail its re-check.
     op = jordan_operator([(1, 2), (0, 1)])
     good = certificates._involution_transform(op.matrix(3))
     ym = good[0]
@@ -471,8 +525,14 @@ def test_a_bad_cached_transform_is_caught(monkeypatch, bad):
         memo[which] = changed_entry(memo[which], i, j)
     monkeypatch.setattr(certificates, "_involution_transform",
                         lambda x: tuple(memo))
-    with pytest.raises(RuntimeError, match="similarity transform"):
-        verify_involution(op, borel_shape(3), 3)
+    certificates._involution_context.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="similarity transform"):
+                verify_involution(op, borel_shape(3), 3)
+        assert certificates._involution_context.cache_info().hits == 1
+    finally:
+        certificates._involution_context.cache_clear()
 
 
 def test_the_lemma_is_rechecked_on_a_memoized_witness(monkeypatch):
@@ -495,15 +555,15 @@ def test_chain_images_are_computed_once_per_call_and_on_every_call(
     certify_distinct(spec, s1, s2)  # builds and memoizes the witness
     hits = certificates._witness_entry.cache_info().hits
     calls = []
-    real = certificates._lane_images
+    real = Lanes.product
 
-    def counted(xmul, f):
-        calls.append(real(xmul, f))
+    def counted(ln, mults, cols):
+        calls.append(real(ln, mults, cols))
         return calls[-1]
 
     # The chain images are the images X c_k of the witness's five
-    # columns, all computed in one _lane_images call.
-    monkeypatch.setattr(certificates, "_lane_images", counted)
+    # columns, all computed in one packed product, the call's only one.
+    monkeypatch.setattr(Lanes, "product", counted)
     first = certify_distinct(spec, s1, s2)
     once = len(calls)
     second = certify_distinct(spec, s1, s2)
@@ -531,14 +591,19 @@ def test_the_lane_levels_equal_the_chain_levels_for_every_witness():
             if spec.is_scalar():
                 continue
             x = jordan_matrix(spec)
-            xmul = certificates._lane_columns(x)
+            ln = lanes(n, p)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     f = build_witness(spec, i, j)[1]
-                    levels = certificates._lane_levels(
-                        certificates._lane_images(xmul, f),
-                        certificates._packed_spans(f), lanes(n, p))
+                    entry = certificates._witness_entry(spec, i, j)
+                    g, memberships, xmul, cols, basis = entry
+                    assert g == f and g.rep == f.rep
+                    levels = certificates._levels(
+                        ln.product(xmul, cols), basis, ln)
                     assert levels == chain_levels(chain_images(x, f), f)
+                    assert levels == profile(x, f)
+                    assert memberships == certificates.strict_memberships(
+                        levels, n)
                     checked += 1
     assert checked > 1000
 

@@ -406,6 +406,40 @@ def test_guard_violation_exit_code(capsys):
     assert code == 2
 
 
+GUARD = "size guard: need n <= 6 and p in (2, 3, 5, 7) (got n=2, p=11); "
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["variety", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2"],
+     "pass --force to force"),
+    (["poset", "--n", "2", "--x", "jordan:0^2"],
+     "the poset subcommand cannot lift it"),
+    (["involution", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2"],
+     "the involution subcommand cannot lift it"),
+    (["decompose", "--h", "h:1,2"],
+     "the decompose subcommand cannot lift it")])
+def test_the_size_guard_names_what_each_subcommand_can_do(capsys, argv,
+                                                          hint):
+    # Only variety has --force; the library's keyword is not a CLI flag.
+    code, out, err = run_cli(capsys, *argv, "--p", "11")
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"schema": "hessalg/1",
+                              "error": GUARD + hint}) + "\n"
+
+
+def test_the_bitmap_cap_names_what_each_subcommand_can_do(capsys):
+    cap = ("size guard: n=6, p=5 has 88515803376 flags, more than the "
+           "bitmap cap of 4294967296 flags (2^32); ")
+    for argv, hint in (
+            (["variety", "--h", "h:2,3,4,5,6,6", "--force"],
+             "--force does not lift it"),
+            (["poset"], "the poset subcommand cannot lift it")):
+        code, out, err = run_cli(capsys, argv[0], "--n", "6",
+                                 "--x", "jordan:0^6", "--p", "5", *argv[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == cap + hint
+
+
 def test_force_overrides_the_size_guard(capsys):
     argv = ["variety", "--n", "2", "--x", "jordan:0^2", "--h", "h:2,2",
             "--p", "11"]

@@ -10,7 +10,7 @@ from hessalg.flags import (FlagSet, _cell_offset, _flag_index,
                            chain_contains, chain_images, chain_levels,
                            check_guards, flag_at, flag_cell, flag_text,
                            free_positions, identity_flag, inversions,
-                           iter_flags, member, packed_index,
+                           iter_flags, member, packed_form,
                            permutation_flag, point_labels, profile,
                            q_factorial)
 from hessalg.shapes import (borel_shape, enumerate_shapes, full_shape,
@@ -389,12 +389,20 @@ def test_packed_index_equals_canonical_columns(n, p):
         cols = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         packed = [ln.pack(c) for c in cols]
         try:
-            expect = canonical_columns(cols, p)[2]
+            expect = canonical_columns(cols, p)
         except ValueError:
             with pytest.raises(ValueError, match="singular"):
-                packed_index(packed, ln)
+                packed_form(packed, ln)
             continue
-        assert packed_index(packed, ln) == expect
+        w, values, index, basis = packed_form(packed, ln)
+        assert (w, values, index) == expect
+        # The basis is the canonical representative's columns but the
+        # last, each with its pivot row and multiples.
+        rep = flag_at(index, n, p).rep
+        assert [(sh, mults[1]) for sh, mults in basis] == [
+            (ln.b * (wk - 1), ln.pack(rep.column(k)))
+            for k, wk in enumerate(w[:-1], 1)]
+        assert all(mults == ln.multiples(mults[1]) for _, mults in basis)
         checked += 1
 
 

@@ -148,6 +148,21 @@ def test_transpose_matches_mask_antitranspose():
             assert transpose_shape(s).mask() == flipped
 
 
+def test_transpose_equals_the_flipped_mask_for_every_shape_to_rank_six():
+    transpose_shape.cache_clear()
+    for n in range(1, 7):
+        for s in enumerate_shapes(n):
+            mask = s.mask()
+            flipped = tuple(
+                tuple(mask[n - 1 - j][n - 1 - i] for j in range(n))
+                for i in range(n))
+            t = transpose_shape(s)
+            assert t.mask() == flipped
+            # The memo answers an equal shape with the same value.
+            assert transpose_shape(HessShape(n, tuple(s.t))) is t
+    assert transpose_shape.cache_info().currsize == 256
+
+
 def test_transpose_is_involution_and_conjugates_diagram():
     for s in enumerate_shapes(4):
         t = transpose_shape(s)

@@ -157,7 +157,13 @@ def test_only_checking_types_define_a_constructor():
     (lambda: OperatorSpec("x", 3, blocks=((0, 2),)),
      "block sizes must sum to n"),
     (lambda: OperatorSpec("x", 2, entries=((0, 0), (0,))),
-     "raw matrix must be n x n")])
+     "raw matrix must be n x n"),
+    # The first fault is named: range, then order, entry by entry.
+    (lambda: HessShape(3, (0, 4, 2)), "threshold 4 out of range"),
+    pytest.param(lambda: HessShape(3, (2, 1, 4)),
+                 "thresholds must be non-decreasing", id="order-first"),
+    (lambda: HessShape(2, (-1, 0)), "threshold -1 out of range"),
+    (lambda: HessShape(1, (2,)), "threshold 2 out of range")])
 def test_construction_checks_keep_their_messages(make, message):
     with pytest.raises(ValueError) as err:
         make()
@@ -200,3 +206,22 @@ def test_shapes_key_sets_and_dicts_by_value():
     table = {HessShape(2, (1, 2)): "borel"}
     assert table[HessShape(2, (1, 2))] == "borel"
     assert HessShape(2, (2, 2)) in frozenset([HessShape(2, (2, 2))])
+
+
+@pytest.mark.parametrize("cls, make", [case[:2] for case in CASES
+                                       if case[4]],
+                         ids=[case[0].__name__ for case in CASES if case[4]])
+def test_the_hash_is_cached_in_a_slot_that_is_not_a_field(cls, make):
+    a = cls(**make())
+    assert "_hash" not in cls._fields and "_hash" not in repr(a)
+    assert a._hash is None
+    h = hash(a)
+    assert a._hash == h == hash(cls(**make()))
+    # Copies rebuild from the fields alone and hash equal.
+    assert a.__reduce__() == (cls, tuple(getattr(a, f) for f in cls._fields))
+    for clone in (copy.copy(a), copy.deepcopy(a),
+                  pickle.loads(pickle.dumps(a))):
+        assert clone == a and clone._hash is None
+        assert hash(clone) == h and clone._hash == h
+    with pytest.raises(AttributeError):
+        a._hash = 0

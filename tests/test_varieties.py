@@ -382,6 +382,8 @@ def test_a_context_is_searched_at_most_n_plus_one_times(monkeypatch):
         return real(x, n, p, bound)
 
     monkeypatch.setattr(varieties, "_profile_groups", counted)
+    # Every context is treated as too large to search in full at once.
+    monkeypatch.setattr(varieties, "FULL_SEARCH_FLAGS", 0)
     # X and w0 X^T w0 differ here, so the sweep uses two contexts.
     op = jordan_operator([(1, 2), (0, 1)])
     shapes = enumerate_shapes(3)
@@ -390,6 +392,34 @@ def test_a_context_is_searched_at_most_n_plus_one_times(monkeypatch):
         assert verify_involution(op, s, 5).ok
     assert len(searches) == 2
     assert max(searches.values()) <= 3 + 1
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 2), (4, 3)])
+def test_a_small_context_is_searched_in_full_when_outgrown(monkeypatch, n,
+                                                           p):
+    # (3, 5) and (4, 2) have 186 and 315 flags, (4, 3) has 2,080: more
+    # than FULL_SEARCH_FLAGS, so its bound jumps coordinate by coordinate.
+    bounds = []
+    real = varieties._profile_groups
+
+    def counted(x, n, p, bound):
+        bounds.append(list(bound))
+        return real(x, n, p, bound)
+
+    x = regular_nilpotent(n, p)
+    shapes = enumerate_shapes(n)
+    cold = [sorted(cold_bitmaps(x, [s], n, p)[0].indices()) for s in shapes]
+    monkeypatch.setattr(varieties, "_profile_groups", counted)
+    varieties._hull_memo.clear()
+    warm = [sorted(variety_indices(x, [s], n, p)[0]) for s in shapes]
+    assert warm == cold
+    small = q_factorial(n, p) <= varieties.FULL_SEARCH_FLAGS
+    assert small == ((n, p) != (4, 3))
+    assert bounds[0] == list(shapes[0].t)
+    if small:
+        assert bounds[1:] == [[n] * n]
+    else:
+        assert 2 < len(bounds) <= n + 1 and bounds[1] == [0] * (n - 1) + [n]
 
 
 def test_a_table_over_the_index_cap_is_not_stored(monkeypatch):
@@ -413,13 +443,13 @@ def test_a_table_over_the_index_cap_is_not_stored(monkeypatch):
 def test_a_warm_read_takes_its_groups_from_the_shape_memo(monkeypatch):
     monkeypatch.setattr(varieties, "SHAPE_MEMO_SIZE", 3)
     scans = []
-    real = varieties._below
+    real = varieties._bound_lanes
 
-    def counted(hull, t):
+    def counted(t):
         scans.append(t)
-        return real(hull, t)
+        return real(t)
 
-    monkeypatch.setattr(varieties, "_below", counted)
+    monkeypatch.setattr(varieties, "_bound_lanes", counted)
     x = regular_nilpotent(3, 2)
     shapes = enumerate_shapes(3)
     cold = [sorted(cold_bitmaps(x, [s], 3, 2)[0].indices()) for s in shapes]
@@ -437,11 +467,41 @@ def test_a_warm_read_takes_its_groups_from_the_shape_memo(monkeypatch):
     ((_, same, _),) = varieties._hull_memo.values()
     assert same is table and len(table.below) == 3
     scans.clear()
+    reads = []
+    real_groups = varieties._hull_groups
+
+    def read(x, n, p, shapes):
+        reads.append(shapes)
+        return real_groups(x, n, p, shapes)
+
+    monkeypatch.setattr(varieties, "_hull_groups", read)
     again = [sorted(variety_indices(x, [s], 3, 2)[0]) for s in shapes]
     assert again == cold
-    # Only the shapes beyond the memo's bound scan the hulls.
+    # Only the shapes beyond the memo's bound scan the hulls; the others
+    # are answered before the table is looked up by its bound.
     assert {tuple(t) for t in scans} == {s.t for s in shapes} - set(
         table.below)
+    assert [s.t for (s,) in reads] == scans
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_packed_hull_test_equals_below(n):
+    # Every (hull, shape) pair up to n = 6; at n = 7 and 8 every
+    # non-decreasing hull and random vectors in 0..n against sampled
+    # shapes. The table's groups stand for themselves.
+    shapes = [s.t for s in enumerate_shapes(n)]
+    hulls = list(shapes)
+    if n > 6:
+        rng = random.Random(n)
+        hulls += [tuple(rng.randint(0, n) for _ in range(n))
+                  for _ in range(500)]
+        shapes = rng.sample(shapes, 60) + [(0,) * n, (n,) * n,
+                                           tuple(range(1, n + 1))]
+    table = varieties.HullTable()
+    table.update((h, h) for h in hulls)
+    for t in shapes:
+        assert varieties._groups_below(table, t) == tuple(
+            h for h in table if varieties._below(h, t))
 
 
 def test_the_memo_keeps_its_entry_bound_least_recently_used_first(
@@ -466,6 +526,11 @@ def test_the_memo_keeps_its_entry_bound_least_recently_used_first(
     assert held() == [ops[2], ops[0], ops[3]]
     variety_bitmaps(ops[4], [peterson_shape(3)], 3, 2)
     assert held() == [ops[0], ops[3], ops[4]]
+    # So does a read answered from the table's shape memo alone.
+    assert peterson_shape(3).t in varieties._hull_memo[
+        (ops[0], 3, 2)][1].below
+    variety_bitmaps(ops[0], [peterson_shape(3)], 3, 2)
+    assert held() == [ops[3], ops[4], ops[0]]
 
 
 # --- the paper's involution as an automorphism of P_X --------------------------------
