@@ -18,6 +18,11 @@ change it exists to catch.
 - "distinct": for every non-scalar Jordan type at (4, 2) and (4, 3), one
   digest over the certify_distinct certificates of every pair of strict
   shapes s1 < s2 in enumerate_shapes order.
+- "poset": for every Jordan type at (4, 2) and (4, 3), every nilpotent
+  type at (5, 2), and every type of jordan_types(4, 3) at p = (2, 3)
+  (where 2 = 0 mod 2), over all shapes and over strict shapes: one digest
+  over build_poset's class names, member shapes, per-prime counts and
+  Hasse edges.
 - "stdout": for each CLI query in STDOUT_QUERIES (the six README examples
   and two variety queries that label every flag), one digest over its
   stdout, as UTF-8, followed by its exit code, run in process.
@@ -34,9 +39,9 @@ import os
 import sys
 
 from hessalg import cli
-from hessalg import (certify_distinct, enumerate_shapes, jordan_operator,
-                     jordan_spec, matrix_operator, q_factorial,
-                     variety_bitmaps, verify_involution)
+from hessalg import (build_poset, certify_distinct, enumerate_shapes,
+                     jordan_operator, jordan_spec, matrix_operator,
+                     q_factorial, variety_bitmaps, verify_involution)
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "digests.json")
@@ -133,6 +138,25 @@ def distinct_digests():
     return out
 
 
+def poset_digests():
+    cases = [(blocks, (p,)) for p in (2, 3) for blocks in jordan_types(4, p)]
+    cases += [([(0, size) for size in part], (2,)) for part in partitions(5)]
+    cases += [(blocks, (2, 3)) for blocks in jordan_types(4, 3)]
+    out = {}
+    for blocks, primes in cases:
+        op = jordan_operator(blocks)
+        for strict_only in (False, True):
+            poset = build_poset(op, primes, strict_only)
+            key = "%s n=%d p=%s%s" % (
+                op.name, op.n, ",".join(map(str, primes)),
+                " strict" if strict_only else "")
+            out[key] = _sha([_json(
+                [[[c.name, [s.t for s in c.shapes],
+                   [b.count for b in c.bitmaps]] for c in poset.classes],
+                 poset.hasse])])
+    return out
+
+
 # The README examples, then every flag of (5, 2) (9,765 labels) and of
 # (4, 5) (29,016 labels) under a full shape.
 STDOUT_QUERIES = (
@@ -159,7 +183,8 @@ def stdout_digests():
 
 def digests():
     return {"bitmaps": bitmap_digests(), "involution": involution_digests(),
-            "distinct": distinct_digests(), "stdout": stdout_digests()}
+            "distinct": distinct_digests(), "poset": poset_digests(),
+            "stdout": stdout_digests()}
 
 
 if __name__ == "__main__":

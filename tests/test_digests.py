@@ -21,6 +21,7 @@ EXPECTED = json.loads((DATA / "digests.json").read_text())
     ("bitmaps", make_digests.bitmap_digests),
     ("involution", make_digests.involution_digests),
     ("distinct", make_digests.distinct_digests),
+    ("poset", make_digests.poset_digests),
     ("stdout", make_digests.stdout_digests)])
 def test_outputs_match_the_committed_digests(section, compute):
     assert compute() == EXPECTED[section]
