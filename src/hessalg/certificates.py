@@ -87,14 +87,16 @@ def witness_flag(spec: JordanSpec, i: int, j: int) -> Matrix:
     """Invertible flag matrix satisfying check_lemma for (X, i, j), where
     X = jordan_matrix(spec). Entries are 0/1 (one column may be a sum of
     two basis vectors in the diagonalizable case), so the same matrix
-    certifies over any field containing the eigenvalues."""
-    return build_witness(spec, i, j)[0]
+    certifies over any field containing the eigenvalues. Unchecked here:
+    build_witness and checked_witness check it."""
+    return Matrix.from_columns(_witness_columns(spec, i, j), spec.p)
 
 
 def build_witness(spec: JordanSpec, i: int, j: int):
-    """(matrix, its flag, lemma checks) of the witness for (X, i, j); the
-    checks are evaluated once and must all hold, else RuntimeError."""
-    a = Matrix.from_columns(_witness_columns(spec, i, j), spec.p)
+    """(matrix, its flag, lemma checks) of the witness for (X, i, j) by the
+    list-based route; the checks are evaluated once and must all hold, else
+    RuntimeError."""
+    a = witness_flag(spec, i, j)
     f = canonical_form(a)
     checks, verdict = check_lemma(jordan_matrix(spec), f, i, j)
     if not verdict:
@@ -237,6 +239,21 @@ def _witness_entry(spec: JordanSpec, i: int, j: int):
     return f, strict_memberships(levels, n), xmul, cols, basis
 
 
+def checked_witness(spec: JordanSpec, i: int, j: int):
+    """(flag, lemma checks, memberships over every strict shape, prefix
+    maxima of the chain levels) of the shared witness for (X, i, j). Every
+    call computes its chain images, their levels and the lemma afresh; a
+    failed lemma raises RuntimeError."""
+    f, memberships, xmul, cols, basis = _witness_entry(spec, i, j)
+    ln = lanes(spec.n, spec.p)
+    hull = tuple(accumulate(_levels(ln.product(xmul, cols), basis, ln), max))
+    checks, verdict = lemma_conditions(hull, i, j)
+    if not verdict:
+        raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
+                           % (i, j, flag_text(f)))
+    return f, checks, dict(memberships), hull
+
+
 class WitnessCertificate(Value):
     __slots__ = ("operator", "pair", "flag",
                  "checks",       # the three lemma condition results
@@ -247,7 +264,8 @@ class WitnessCertificate(Value):
 def certify_distinct(spec: JordanSpec, s1: HessShape,
                      s2: HessShape) -> WitnessCertificate:
     """Witness that Hess(X, s1) != Hess(X, s2) for distinct strict shapes
-    and non-scalar X: a flag lying in exactly one of the two varieties."""
+    and non-scalar X: a flag lying in exactly one of the two varieties,
+    each membership re-checked against the levels checked_witness gives."""
     n = spec.n
     if s1.n != n or s2.n != n:
         raise ValueError("shape rank != operator rank")
@@ -260,18 +278,7 @@ def certify_distinct(spec: JordanSpec, s1: HessShape,
     pair = next((i, j)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if (s1.t[i - 1] >= j) != (s2.t[i - 1] >= j))
-    i, j = pair
-    f, memberships, xmul, cols, basis = _witness_entry(spec, i, j)
-    memberships = dict(memberships)
-    # The witness is shared between calls. Its chain images and their
-    # levels are computed afresh on every call, and the lemma and the two
-    # memberships the certificate rests on are re-checked from them.
-    ln = lanes(n, spec.p)
-    hull = tuple(accumulate(_levels(ln.product(xmul, cols), basis, ln), max))
-    checks, verdict = lemma_conditions(hull, i, j)
-    if not verdict:
-        raise RuntimeError("witness for (%d, %d) fails the lemma at flag %s"
-                           % (i, j, flag_text(f)))
+    f, checks, memberships, hull = checked_witness(spec, *pair)
     in1, in2 = (memberships[shape_text(s)] for s in (s1, s2))
     for s, held in ((s1, in1), (s2, in2)):
         if all(map(le, hull, s.t)) != held:

@@ -15,8 +15,7 @@ import re
 import sys
 
 from . import certificates, varieties
-from .field import jordan_matrix
-from .flags import GUARD_PRIMES, point_labels, profile
+from .flags import GUARD_PRIMES, point_labels
 from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,
                      negative_root_set, parse_ints, parse_shape, shape_text,
                      shape_to_diagram)
@@ -237,9 +236,9 @@ def cmd_witness(args) -> int:
         raise ValueError("witness construction needs a Jordan operator")
     p = _pick_witness_prime(op, args.p)
     spec = op.jordan(p)
-    a, f, checks = certificates.build_witness(spec, args.i, args.j)
-    levels = profile(jordan_matrix(spec), f)
-    memberships = certificates.strict_memberships(levels, args.n)
+    a = certificates.witness_flag(spec, args.i, args.j)
+    _, checks, memberships, _ = certificates.checked_witness(
+        spec, args.i, args.j)
     _emit(args, json.dumps({
         "schema": SCHEMA, "command": "witness", "operator": op.name,
         "p": p, "pair": [args.i, args.j],

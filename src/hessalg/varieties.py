@@ -1,13 +1,14 @@
 """Hessenberg varieties over F_p as explicit point sets, and the poset P_X.
 
 A Variety is a membership bitmap over the fixed flag enumeration order.
-Every point set is read from one table of hull groups: the flags grouped
-by the running maximum of their profile. Hess(X, s) is the disjoint union
-of the groups whose hull lies below s, so two shapes give the same variety
-iff they have the same down-set of hulls, and containment of varieties is
-inclusion of down-sets. Equality and containment over F_p are per-prime
-evidence; with several primes a shape's key is its tuple of down-sets,
-one per prime, which reduces accidental coincidences.
+Every point set is read from one table of hull groups per context: the
+flags grouped by the running maximum of their profile, packed into an int.
+Hess(X, s) is the disjoint union of the groups whose hull lies below s, a
+mask over the table (_downset), so two shapes give the same variety iff
+they have the same mask, and containment of varieties is inclusion of
+masks. Equality and containment over F_p are per-prime evidence; with
+several primes a shape's key is its tuple of masks, one per prime, which
+reduces accidental coincidences.
 """
 
 from __future__ import annotations
@@ -301,29 +302,26 @@ def _profile_groups(x: Matrix, n: int, p: int, bound):
 
 
 class HullTable(dict):
-    """hull -> array of the indices of the flags with that hull, and the
-    table's shape memo `below`: shape thresholds -> the table's groups
-    below the shape, for at most SHAPE_MEMO_SIZE shapes. The memo holds
-    references to the groups, not indices, and goes with its table, as
-    does `packed`, the hulls packed by _groups_below on its first call."""
+    """packed hull (_pack) -> array of the indices of the flags with that
+    hull, for the flags whose hull lies below `bound`; `size` counts the
+    indices. The shape memo `below` maps shape thresholds to the table's
+    groups below the shape, for at most SHAPE_MEMO_SIZE shapes."""
 
-    __slots__ = ("below", "packed")
+    __slots__ = ("bound", "size", "below")
 
-    def __init__(self):
+    def __init__(self, bound):
         super().__init__()
+        self.bound = bound
+        self.size = 0
         self.below = {}
-        self.packed = None
 
 
-# The hull table of each context (X, n, p), kept across calls together with
-# the bound it was searched under. A table searched under bound B holds
-# exactly the flags whose hull is <= B, so it serves every request whose
-# bound is <= B; callers must not change the table. A table's shape memo
-# holds up to 64 shapes (every shape at n <= 3, every strict shape at
-# n <= 5). The README gives the memory of a full memo, measured with
-# tracemalloc: about 3 MB, and 7 MB if every table had all C(2n, n) = 924
-# groups of n = 6, with 4.5 MB more for the shape memos and 3 MB for the
-# packed hulls.
+# The hull table of each context (X, n, p), kept across calls. A table
+# searched under bound B holds exactly the flags whose hull is <= B, so it
+# serves every request whose bound is <= B; callers must not change the
+# table. A table's shape memo holds up to 64 shapes (every shape at n <= 3,
+# every strict shape at n <= 5). The README gives the memory of a full
+# memo, measured with tracemalloc.
 HULL_MEMO_SIZE = 32
 HULL_MEMO_INDICES = 1 << 16
 SHAPE_MEMO_SIZE = 64
@@ -333,65 +331,62 @@ SHAPE_MEMO_SIZE = 64
 # every flag at (3, 3) and (3, 5)). So such a context is searched in full
 # once a request outgrows its table, in place of up to n - 1 more searches.
 FULL_SEARCH_FLAGS = 1 << 10
-# (X, n, p) -> (bound, hulls, stored indices), least recently used first.
+# (X, n, p) -> HullTable, least recently used first.
 _hull_memo = {}
 
 
 def _hull_groups(x: Matrix, n: int, p: int, shapes) -> HullTable:
-    """Indices of the flags whose profile lies below the componentwise
-    maximum of the shapes, grouped by the hull (m_1, max(m_1, m_2), ...)
-    of their profile. A shape is non-decreasing, so a profile lies below
-    it iff its hull does.
+    """The hull table of the context (X, n, p) for the componentwise
+    maximum of the shapes: the flags whose profile lies below it, grouped
+    by the hull (m_1, max(m_1, m_2), ...) of their profile. A shape is
+    non-decreasing, so a profile lies below it iff its hull does.
 
-    The table may hold more flags than asked for: it comes from the memo
-    when a search of the context under a larger bound is stored there. A
-    request the stored table does not cover searches again: a context of
-    at most FULL_SEARCH_FLAGS flags under the full bound, so it is searched
-    at most twice; a larger one with every coordinate of the bound that
-    grew jumped to n (then the running max keeps it non-decreasing), so it
-    is searched at most n + 1 times. A context with more flags than the
-    memo can hold is searched under the requested bound alone, as a cold
-    call is."""
-    bound = list(map(max, zip(*(s.t for s in shapes))))
+    The one read of the memo: the stored table is popped, and put back as
+    the most recently used if its bound covers the request. Otherwise the
+    context is searched again: in full if it has at most FULL_SEARCH_FLAGS
+    flags (so at most twice), else with every coordinate of the bound that
+    grew jumped to n (at most n + 1 times), or under the requested bound
+    alone if it has more flags than HULL_MEMO_INDICES, as a cold call is.
+    The new table is stored unless it holds more indices than that, and
+    the least recently used tables go until both memo bounds hold."""
     key = (x, n, p)
-    entry = _hull_memo.get(key)
-    if entry is not None:
-        if all(map(le, bound, entry[0])):
-            _hull_memo[key] = _hull_memo.pop(key)
-            return entry[1]
+    table = _hull_memo.pop(key, None)
+    # The shapes in the table's shape memo need no bound.
+    if table is None or any(s.t not in table.below for s in shapes):
+        bound = list(map(max, zip(*(s.t for s in shapes))))
+        if table is None or not all(map(le, bound, table.bound)):
+            table = _search(x, n, p, bound, table)
+            if table.size > HULL_MEMO_INDICES:
+                return table
+            held = sum(t.size for t in _hull_memo.values())
+            while _hull_memo and (len(_hull_memo) >= HULL_MEMO_SIZE
+                                  or held + table.size > HULL_MEMO_INDICES):
+                held -= _hull_memo.pop(next(iter(_hull_memo))).size
+    _hull_memo[key] = table
+    return table
+
+
+def _search(x: Matrix, n: int, p: int, bound, old) -> HullTable:
+    """A hull table under the bound, widened when `old` was outgrown."""
+    if old is not None:
         if q_factorial(n, p) <= FULL_SEARCH_FLAGS:
             bound = [n] * n
         elif q_factorial(n, p) <= HULL_MEMO_INDICES:
             bound = list(itertools.accumulate(
-                (n if a > b else b for a, b in zip(bound, entry[0])), max))
-    hulls = HullTable()
+                (n if a > b else b for a, b in zip(bound, old.bound)), max))
+    # Profiles are merged by hull first, so that each hull is packed once.
+    hulls = {}
     for prof, idx in _profile_groups(x, n, p, bound).items():
         hull = tuple(itertools.accumulate(prof, max))
         if hull in hulls:
             hulls[hull].extend(idx)
         else:
             hulls[hull] = idx
-    _remember(key, tuple(bound), hulls)
-    return hulls
-
-
-def _remember(key, bound, hulls):
-    """Store a hull table in the memo unless it holds more indices than
-    HULL_MEMO_INDICES, evicting the least recently used tables to keep
-    within both bounds."""
-    _hull_memo.pop(key, None)
-    size = sum(len(idx) for idx in hulls.values())
-    if size > HULL_MEMO_INDICES:
-        return
-    held = sum(entry[2] for entry in _hull_memo.values())
-    while _hull_memo and (len(_hull_memo) >= HULL_MEMO_SIZE
-                          or held + size > HULL_MEMO_INDICES):
-        held -= _hull_memo.pop(next(iter(_hull_memo)))[2]
-    _hull_memo[key] = (bound, hulls, size)
-
-
-def _below(hull, t) -> bool:
-    return all(map(le, hull, t))
+    table = HullTable(tuple(bound))
+    b = n.bit_length() + 1
+    table.update((_pack(hull, b), idx) for hull, idx in hulls.items())
+    table.size = sum(map(len, table.values()))
+    return table
 
 
 def _pack(v, b: int) -> int:  # b-bit lanes, the first entry lowest
@@ -407,26 +402,24 @@ def _bound_lanes(t):
     return b, tops, tops + _pack(t, b)
 
 
-def _groups_below(hulls: HullTable, t) -> tuple:
-    """The groups of a table whose hull lies below t (_below), from its shape
-    memo or by _bound_lanes, stored there while it has room."""
-    groups = hulls.below.get(t)
-    if groups is None:
-        b, tops, bound = _bound_lanes(t)
-        if hulls.packed is None:
-            hulls.packed = [(_pack(h, b), g) for h, g in hulls.items()]
-        groups = tuple(g for h, g in hulls.packed if bound - h & tops == tops)
-        if len(hulls.below) < SHAPE_MEMO_SIZE:
-            hulls.below[t] = groups
-    return groups
+def _downset(table: HullTable, t):
+    """The down-set of t in the table, as the mask of the hulls lying below
+    t (bit k for the k-th hull) and as their groups. Each hull is tested by
+    one subtraction of packed lanes (_bound_lanes)."""
+    _, tops, bound = _bound_lanes(t)
+    mask, groups = 0, []
+    for k, (hull, group) in enumerate(table.items()):
+        if bound - hull & tops == tops:
+            mask |= 1 << k
+            groups.append(group)
+    return mask, tuple(groups)
 
 
 def variety_indices(x: Matrix, shapes, n: int, p: int,
                     override: bool = False):
     """For each of several shapes sharing one operator, the member indices
-    of Hess(X, s): an array of the hull groups lying below s, unsorted. The
-    one reader of the hull table, through its shape memo (_groups_below),
-    which is read first."""
+    of Hess(X, s): an array of the hull groups lying below s, unsorted,
+    read from the table's shape memo or else by _downset."""
     check_guards(n, p, override)
     if x.p != p or x.nrows != n:
         raise ValueError("operator size or modulus mismatch")
@@ -434,18 +427,14 @@ def variety_indices(x: Matrix, shapes, n: int, p: int,
         raise ValueError("shape rank != operator rank")
     if not shapes:
         return []
-    # A table serves the shapes in its shape memo: it becomes the most
-    # recently used, as _hull_groups would make it.
-    key = (x, n, p)
-    entry = _hull_memo.get(key)
-    found = entry and [entry[1].below.get(s.t) for s in shapes]
-    if found and None not in found:
-        _hull_memo[key] = _hull_memo.pop(key)
-    else:
-        hulls = _hull_groups(x, n, p, shapes)
-        found = [_groups_below(hulls, s.t) for s in shapes]
+    table = _hull_groups(x, n, p, shapes)
     out = []
-    for groups in found:
+    for s in shapes:
+        groups = table.below.get(s.t)
+        if groups is None:
+            groups = _downset(table, s.t)[1]
+            if len(table.below) < SHAPE_MEMO_SIZE:
+                table.below[s.t] = groups
         idx = array("q")
         for group in groups:
             idx.extend(group)
@@ -500,23 +489,24 @@ def build_poset(x: OperatorSpec, primes,
         check_guards(n, p)
     shapes = enumerate_shapes(n, strict_only)
     tables = [_hull_groups(x.matrix(p), n, p, shapes) for p in primes]
-    # A shape's key is its down-set of hulls at each prime. The shapes come
-    # in lex order, so the classes come out sorted by representative.
+    # A shape's key is the mask of its down-set of hulls at each prime. The
+    # shapes come in lex order, so the classes come out sorted by
+    # representative.
     members_of = {}
     for s in shapes:
-        key = tuple(frozenset(h for h in hulls if _below(h, s.t))
-                    for hulls in tables)
-        members_of.setdefault(key, []).append(s)
+        downs = [_downset(table, s.t) for table in tables]
+        key = tuple(mask for mask, _ in downs)
+        members_of.setdefault(key, (downs, []))[1].append(s)
     keys = list(members_of)
     classes = tuple(
         EqClass(diagram_text(members[0]), tuple(members),
                 tuple(FlagSet.from_indices(
-                    itertools.chain.from_iterable(hulls[h] for h in down),
-                    n, p) for p, hulls, down in zip(primes, tables, key)))
-        for key, members in members_of.items())
+                    itertools.chain.from_iterable(groups), n, p)
+                    for p, (_, groups) in zip(primes, downs)))
+        for downs, members in members_of.values())
     # a < b iff a's down-set is a proper subset of b's at every prime.
     up = [{j for j, kb in enumerate(keys)
-           if all(da < db for da, db in zip(ka, kb))} for ka in keys]
+           if all(a & b == a != b for a, b in zip(ka, kb))} for ka in keys]
     hasse = tuple((a.name, classes[j].name) for a, ups in zip(classes, up)
                   for j in sorted(ups) if not any(j in up[k] for k in ups))
     return PosetPX(x, primes, strict_only, classes, hasse)

@@ -1,6 +1,8 @@
 import contextlib
+import importlib.util
 import io
 import json
+import operator
 import os
 import re
 import shlex
@@ -11,10 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from hessalg import certificates, varieties
-from hessalg.cli import main, parse_operator, parse_primes
-from hessalg.flags import flag_at, flag_text
-from hessalg.shapes import diagram_text, parse_shape, shape_text
+from hessalg import certificates, flags, varieties
+from hessalg.cli import _pick_witness_prime, main, parse_operator, parse_primes
+from hessalg.field import jordan_matrix
+from hessalg.flags import flag_at, flag_text, profile
+from hessalg.shapes import (diagram_text, enumerate_shapes, parse_shape,
+                            shape_text)
 
 
 def run_cli(capsys, *argv):
@@ -358,20 +362,104 @@ def test_witness_default_prime_keeps_distinct_eigenvalues_distinct(capsys):
 def test_witness_evaluates_the_lemma_once(capsys, monkeypatch):
     argv = ("witness", "--n", "3", "--x", "jordan:0^3", "--i", "1", "--j", "2")
     calls = []
-    real = certificates.check_lemma
+    real = certificates.lemma_conditions
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(certificates, "check_lemma", counted)
-    run_json(capsys, *argv)
+    monkeypatch.setattr(certificates, "lemma_conditions", counted)
+    doc = run_json(capsys, *argv)
     assert len(calls) == 1
-    monkeypatch.setattr(certificates, "check_lemma",
+    assert doc["lemma_checks"] == list(real(*calls[0])[0])
+    # A second run reads the memoized witness and evaluates it again.
+    assert run_json(capsys, *argv) == doc
+    assert len(calls) == 2
+    monkeypatch.setattr(certificates, "lemma_conditions",
                         lambda *args: ((True, True, False), False))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert "failure" in json.loads(err)
+    assert "fails the lemma" in json.loads(err)["failure"]
+
+
+def _digest_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "make_digests", Path(__file__).resolve().parent / "data" /
+        "make_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _list_route_witness(text, n, p, i, j):
+    """The witness document built by the list-based route: build_witness
+    for the matrix, its flag and the lemma, and the chain profile of the
+    flag for the memberships."""
+    spec = parse_operator(text, n).jordan(p)
+    a, f, checks = certificates.build_witness(spec, i, j)
+    levels = profile(jordan_matrix(spec), f)
+    columns = []
+    for k in range(1, n + 1):
+        terms = ["%se%d" % ("" if a.entry(r, k) == 1 else a.entry(r, k), r)
+                 for r in range(1, n + 1) if a.entry(r, k)]
+        columns.append("+".join(terms) or "0")
+    memberships = {shape_text(s): all(map(operator.le, levels, s.t))
+                   for s in enumerate_shapes(n, strict_only=True)}
+    return json.dumps({
+        "schema": "hessalg/1", "command": "witness", "operator": text,
+        "p": p, "pair": [i, j], "flag_columns": columns,
+        "lemma_checks": list(checks), "memberships": memberships},
+        indent=2) + "\n"
+
+
+def test_witness_equals_the_list_route(capsys):
+    # The Jordan types of the digest corpus at n <= 5, every pair, at the
+    # default prime and at --p 5.
+    corpus = _digest_corpus()
+    types = {tuple(blocks) for p in (2, 3)
+             for blocks in corpus.jordan_types(4, p)}
+    types |= {tuple((0, size) for size in part)
+              for n in (4, 5) for part in corpus.partitions(n)}
+    runs = 0
+    for blocks in sorted(types):
+        text = "jordan:" + ",".join("%d^%d" % b for b in blocks)
+        n = sum(size for _, size in blocks)
+        op = parse_operator(text, n)
+        for p in (None, 5):
+            prime = _pick_witness_prime(op, p)
+            if op.jordan(prime).is_scalar():
+                continue
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    argv = ["witness", "--n", str(n), "--x", text,
+                            "--i", str(i), "--j", str(j)]
+                    if p is not None:
+                        argv += ["--p", str(p)]
+                    code, out, err = run_cli(capsys, *argv)
+                    assert (code, err) == (0, "")
+                    assert out == _list_route_witness(text, n, prime, i, j)
+                    runs += 1
+    assert runs > 600
+
+
+def test_witness_reaches_no_list_route_helper(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the list route ran")
+
+    for name in ("build_witness", "check_lemma", "canonical_form"):
+        monkeypatch.setattr(certificates, name, refused)
+    monkeypatch.setattr(flags, "canonical_form", refused)
+    monkeypatch.setattr(flags, "profile", refused)
+    certificates._witness_entry.cache_clear()
+    try:
+        doc = run_json(capsys, "witness", "--n", "5", "--x",
+                       "jordan:1^2,0^3", "--i", "2", "--j", "4")
+        assert doc["lemma_checks"] == [True, True, True]
+        # Warm, from the memoized witness.
+        assert run_json(capsys, "witness", "--n", "5", "--x",
+                        "jordan:1^2,0^3", "--i", "2", "--j", "4") == doc
+    finally:
+        certificates._witness_entry.cache_clear()
 
 
 # --- involution and decompose ----------------------------------------------------------

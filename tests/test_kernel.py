@@ -131,7 +131,8 @@ def test_every_flag_is_in_the_group_of_its_profile_hull(p, data, n):
         varieties._hull_memo.clear()
         got = varieties._hull_groups(x, n, p, [s])
         assert {h: sorted(idx) for h, idx in got.items()} == \
-            {h: idx for h, idx in hulls.items()
+            {varieties._pack(h, n.bit_length() + 1): idx
+             for h, idx in hulls.items()
              if all(m <= t for m, t in zip(h, s.t))}
 
 

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import operator
 import random
 from collections import Counter
 
@@ -430,8 +432,9 @@ def test_a_table_over_the_index_cap_is_not_stored(monkeypatch):
     assert not varieties._hull_memo
     small = variety_bitmaps(x, [peterson_shape(4)], 4, 2)[0]
     assert small.count == 27
-    ((bound, hulls, stored),) = varieties._hull_memo.values()
-    assert stored == 27 == sum(len(idx) for idx in hulls.values())
+    (table,) = varieties._hull_memo.values()
+    assert table.bound == peterson_shape(4).t
+    assert table.size == 27 == sum(len(idx) for idx in table.values())
     # The context has more flags than the cap, so a request the stored
     # table does not cover searches under its own bound, without a jump.
     wide = variety_bitmaps(x, [shape_from_function([3, 4, 4, 4])], 4, 2)[0]
@@ -456,15 +459,15 @@ def test_a_warm_read_takes_its_groups_from_the_shape_memo(monkeypatch):
     varieties._hull_memo.clear()
     assert sorted(variety_indices(x, [peterson_shape(3)], 3, 2)[0]) == \
         cold[shapes.index(peterson_shape(3))]
-    ((_, first, _),) = varieties._hull_memo.values()
+    (first,) = varieties._hull_memo.values()
     assert list(first.below) == [peterson_shape(3).t]
     # The full shape jumps the bound: the new table has a new shape memo.
     variety_indices(x, [full_shape(3)], 3, 2)
-    ((_, table, _),) = varieties._hull_memo.values()
+    (table,) = varieties._hull_memo.values()
     assert table is not first and list(table.below) == [full_shape(3).t]
     warm = [sorted(variety_indices(x, [s], 3, 2)[0]) for s in shapes]
     assert warm == cold
-    ((_, same, _),) = varieties._hull_memo.values()
+    (same,) = varieties._hull_memo.values()
     assert same is table and len(table.below) == 3
     scans.clear()
     reads = []
@@ -474,14 +477,25 @@ def test_a_warm_read_takes_its_groups_from_the_shape_memo(monkeypatch):
         reads.append(shapes)
         return real_groups(x, n, p, shapes)
 
+    def refused(*args):
+        raise AssertionError("a warm read searched")
+
     monkeypatch.setattr(varieties, "_hull_groups", read)
+    monkeypatch.setattr(varieties, "_profile_groups", refused)
     again = [sorted(variety_indices(x, [s], 3, 2)[0]) for s in shapes]
     assert again == cold
-    # Only the shapes beyond the memo's bound scan the hulls; the others
-    # are answered before the table is looked up by its bound.
+    # Only the shapes beyond the shape memo's bound scan the hulls; every
+    # read looks the table up once, and none searches.
     assert {tuple(t) for t in scans} == {s.t for s in shapes} - set(
         table.below)
-    assert [s.t for (s,) in reads] == scans
+    assert [s for (s,) in reads] == shapes
+    (last,) = varieties._hull_memo.values()
+    assert last is table
+
+
+def _below(hull, t) -> bool:
+    """The tuple test the packed one replaces: hull <= t componentwise."""
+    return all(map(operator.le, hull, t))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -497,11 +511,13 @@ def test_the_packed_hull_test_equals_below(n):
                   for _ in range(500)]
         shapes = rng.sample(shapes, 60) + [(0,) * n, (n,) * n,
                                            tuple(range(1, n + 1))]
-    table = varieties.HullTable()
-    table.update((h, h) for h in hulls)
+    table = varieties.HullTable(None)
+    table.update((varieties._pack(h, n.bit_length() + 1), h) for h in hulls)
     for t in shapes:
-        assert varieties._groups_below(table, t) == tuple(
-            h for h in table if varieties._below(h, t))
+        mask, groups = varieties._downset(table, t)
+        assert mask == sum(1 << k for k, h in enumerate(table.values())
+                           if _below(h, t))
+        assert groups == tuple(h for h in table.values() if _below(h, t))
 
 
 def test_the_memo_keeps_its_entry_bound_least_recently_used_first(
@@ -528,9 +544,50 @@ def test_the_memo_keeps_its_entry_bound_least_recently_used_first(
     assert held() == [ops[0], ops[3], ops[4]]
     # So does a read answered from the table's shape memo alone.
     assert peterson_shape(3).t in varieties._hull_memo[
-        (ops[0], 3, 2)][1].below
+        (ops[0], 3, 2)].below
     variety_bitmaps(ops[0], [peterson_shape(3)], 3, 2)
     assert held() == [ops[3], ops[4], ops[0]]
+
+
+# --- P_X classes are meet-closed and convex ------------------------------------------
+
+def assert_classes_hold_meets_and_intervals(poset, n, strict_only):
+    """A flag lies in Hess(X, t) iff X F_j lies in F_{t_j} for every j, and
+    the F_k form a chain, so Hess(X, s ^ s') = Hess(X, s) & Hess(X, s')
+    for the componentwise minimum ^. So each class holds the meet of any
+    two of its shapes, and containment of varieties is monotone, so it
+    holds every shape between two of its shapes."""
+    shapes = [s.t for s in enumerate_shapes(n, strict_only)]
+    class_of = {s.t: c.name for c in poset.classes for s in c.shapes}
+    assert sorted(class_of) == sorted(shapes)
+    for c in poset.classes:
+        members = [s.t for s in c.shapes]
+        for a, b in itertools.combinations(members, 2):
+            assert class_of[tuple(map(min, a, b))] == c.name
+            low, high = (a, b) if _below(a, b) else (b, a)
+            if _below(low, high):
+                assert all(class_of[t] == c.name for t in shapes
+                           if _below(low, t) and _below(t, high))
+
+
+@settings(SLOW, max_examples=40)
+@given(st.data(), st.integers(1, 4), st.sampled_from([(2,), (3,), (2, 3)]),
+       st.booleans())
+def test_every_class_holds_the_meet_and_the_shapes_between_two_members(
+        data, n, primes, strict_only):
+    op = data.draw(small_operators(n))
+    assert_classes_hold_meets_and_intervals(
+        build_poset(op, primes, strict_only), n, strict_only)
+
+
+@pytest.mark.parametrize("zeros", range(3))
+@pytest.mark.parametrize("strict_only", [False, True])
+def test_classes_hold_meets_and_intervals_under_a_residue_clash(
+        zeros, strict_only):
+    # 2 = 0 mod 2: the two primes see different operators.
+    op = jordan_operator([(1, 1), (2, 1)] + [(0, 1)] * zeros)
+    assert_classes_hold_meets_and_intervals(
+        build_poset(op, (2, 3), strict_only), op.n, strict_only)
 
 
 # --- the paper's involution as an automorphism of P_X --------------------------------
