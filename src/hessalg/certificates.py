@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter, le
+from operator import le
 
 from .field import (JordanSpec, Matrix, Value, antitranspose, jordan_matrix,
                     lanes, regular_nilpotent, similarity_transform)
@@ -194,9 +194,9 @@ def strict_memberships(levels, n: int) -> dict:
 # Bounds of the per-session memos below. Each holds work that depends only
 # on the operator, on (n, p) or on (X, i, j); the checks that use it run on
 # every call. The README gives their memory, measured with tracemalloc.
+# INDEX_MEMO_SIZE bounds the two index maps of the involution together.
 CONTEXT_MEMO_SIZE = 64
 INDEX_MEMO_SIZE = 8192
-INDEX_MEMO_MAPS = 64
 WITNESS_MEMO_SIZE = 256
 
 
@@ -299,6 +299,7 @@ def involution_image(f: Flag) -> Flag:
     return Flag(f.n, f.p, *_involution_cell(f.index, f.n, f.p))
 
 
+@lru_cache(maxsize=INDEX_MEMO_SIZE // 2)
 def _involution_cell(index: int, n: int, p: int):
     """(cell, free values, index) of w0 (g^T)^{-1} w0 for the canonical
     representative g of the flag at an index, by cell arithmetic (module
@@ -342,45 +343,35 @@ def _involution_transform(x: Matrix):
     return ym, pmat, (None if pmat is None else pmat.inverse())
 
 
+class _InvolutionContext:
+    """What verify_involution needs of the operator X: Y, field.Lanes, the
+    multiples of X's and P's packed columns, the columns of P, those of Y
+    then Q, and the packed identity. It hashes by identity, in C, as the
+    key of the composed map."""
+    __slots__ = ("ym", "ln", "xmul", "pmul", "pcols", "yqcols", "identity")
+
+    def __init__(self, x: Matrix, ym: Matrix, pmat: Matrix, qmat: Matrix):
+        self.ym, self.ln = ym, lanes(x.nrows, x.p)
+        self.xmul, self.pmul = _lane_columns(x), _lane_columns(pmat)
+        self.pcols = tuple(zip(*pmat.rows))
+        self.yqcols = (*zip(*ym.rows), *zip(*qmat.rows))
+        self.identity = tuple(1 << self.ln.b * j for j in range(x.nrows))
+
+
 @lru_cache(maxsize=CONTEXT_MEMO_SIZE)
 def _involution_context(x: Matrix):
-    """(Y, field.Lanes, the multiples of X's and P's packed columns, the
-    columns of P, those of Y then Q, the packed identity), or (Y,) if
-    there is no P."""
+    """X's _InvolutionContext, or None if there is no P."""
     ym, pmat, qmat = _involution_transform(x)
-    if pmat is None:
-        return (ym,)
-    ln = lanes(x.nrows, x.p)
-    return (ym, ln, _lane_columns(x), _lane_columns(pmat),
-            tuple(zip(*pmat.rows)), (*zip(*ym.rows), *zip(*qmat.rows)),
-            tuple(1 << ln.b * j for j in range(ln.n)))
+    return None if pmat is None else _InvolutionContext(x, ym, pmat, qmat)
 
 
-# The index maps, least recently used first: (n, p) -> {flag index: (cell,
-# free values, index) of its involution image g}, X -> {flag index: P g's}.
-_index_maps = {}
-_third = itemgetter(2)
-
-
-def _mapped(xm: Matrix, pmul, indices, ln):
-    """The sets of the involution images g of the indices and of P g, from
-    the index maps. Then the oldest maps go until both bounds hold."""
-    n, p = ln.n, ln.p
-    maps = [_index_maps.pop(key, None) or {} for key in ((n, p), xm)]
-    _index_maps[(n, p)], _index_maps[xm] = inv, comp = maps
-    points = set(indices)
-    grew = [points - inv.keys(), points - comp.keys()]
-    for i in grew[0]:
-        inv[i] = _involution_cell(i, n, p)
-    for i in grew[1]:
-        comp[i] = _composed_index(pmul, *inv[i][:2], ln)
-    images = set(map(_third, map(inv.__getitem__, points)))
-    composed = set(map(comp.__getitem__, points))
-    # Only a new map or new entries can break a bound.
-    while len(_index_maps) > INDEX_MEMO_MAPS or (any(grew) and sum(
-            map(len, _index_maps.values())) > INDEX_MEMO_SIZE):
-        del _index_maps[next(iter(_index_maps))]
-    return images, composed
+@lru_cache(maxsize=INDEX_MEMO_SIZE // 2)
+def _composed(context: _InvolutionContext, index: int) -> int:
+    """Index of P g for the involution image g of the flag at an index,
+    with P from the context."""
+    ln = context.ln
+    w, values, _ = _involution_cell(index, ln.n, ln.p)
+    return _composed_index(context.pmul, w, values, ln)
 
 
 class InvolutionReport(Value):
@@ -394,20 +385,27 @@ class InvolutionReport(Value):
 def verify_involution(x: OperatorSpec, s: HessShape, p: int) -> InvolutionReport:
     n = s.n
     xm = x.matrix(p)
-    ym, *context = _involution_context(xm)  # ym = w0 * X^T * w0
-    if not context:
+    context = _involution_context(xm)
+    if context is None:
         raise RuntimeError("X and w0 X^T w0 must be similar")
     # The memoized P is re-checked on every call, by packed column products:
     # P Y = X P, and P Q = I, which makes P invertible.
-    ln, xmul, pmul, pcols, yqcols, identity = context
-    pyq = ln.product(pmul, yqcols)
-    if pyq[:ln.n] != ln.product(xmul, pcols) or pyq[ln.n:] != identity:
+    ln = context.ln
+    pyq = ln.product(context.pmul, context.yqcols)
+    if (pyq[:ln.n] != ln.product(context.xmul, context.pcols)
+            or pyq[ln.n:] != context.identity):
         raise RuntimeError("similarity transform fails P Y = X P "
                            "with P invertible")
     s_t = transpose_shape(s)
     v1, v3 = variety_indices(xm, [s, s_t], n, p)
-    (v2,) = variety_indices(ym, [s_t], n, p)
-    images, composed = _mapped(xm, pmul, v1, ln)
+    (v2,) = variety_indices(context.ym, [s_t], n, p)  # Y = w0 X^T w0
+    # One pass, so that a point's image is still in its map when the
+    # composed map reads it, even in a call that maps more points than
+    # the maps hold.
+    images, composed = set(), set()
+    for i in v1:
+        images.add(_involution_cell(i, n, p)[2])
+        composed.add(_composed(context, i))
     inter_ok = images == set(v2)
     comp_ok = composed == set(v3)
     return InvolutionReport(s, s_t, p, len(v1), len(v3), inter_ok, comp_ok,

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 
+# Eager: the benchmark's tracer imports cli alone, then reads sys.modules.
 from . import certificates, varieties
 from .flags import GUARD_PRIMES, point_labels
 from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,

@@ -11,7 +11,6 @@ matching the usual matrix-display convention. Internal storage is
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from operator import attrgetter, mul
 
@@ -536,6 +535,9 @@ def similarity_transform(a: Matrix, b: Matrix):
     for cand in basis:
         if cand.is_invertible():
             return cand
+    # Imported here: only this fallback needs random, which every cold
+    # process would otherwise load.
+    import random
     rng = random.Random(0x5E55)
     p = a.p
     n = a.nrows

@@ -376,14 +376,20 @@ def test_verify_involution_strict_sweep_n3():
 
 # --- memos across calls ------------------------------------------------------------
 
+INDEX_MAPS = (certificates._involution_cell, certificates._composed)
+
+
 def clear_memos():
     certificates._involution_context.cache_clear()
     certificates._witness_entry.cache_clear()
-    certificates._index_maps.clear()
+    for memo in INDEX_MAPS:
+        memo.cache_clear()
 
 
 def index_map_sizes():
-    return {context: len(m) for context, m in certificates._index_maps.items()}
+    """(entries, misses) of the involution map and of the composed map."""
+    return tuple((memo.cache_info().currsize, memo.cache_info().misses)
+                 for memo in INDEX_MAPS)
 
 
 def integer_conjugate(rows, rng, steps=8):
@@ -441,35 +447,43 @@ def test_memoized_involution_equals_the_route_without_memos():
     sizes = index_map_sizes()
     warm = [verify_involution(op, s, p) for op, s, p in cases]
     # Every index the warm pass mapped was read from the maps.
-    assert index_map_sizes() == sizes and sum(sizes.values()) > 0
-    maps = certificates._index_maps
+    assert index_map_sizes() == sizes and all(k > 0 for k, _ in sizes)
     for (op, s, p), c, w in zip(cases, cold, warm):
         report, points, inter, composed = involution_without_memos(op, s, p)
         assert c == w == report
         assert c.ok
-        n, xm = s.n, op.matrix(p)
-        assert {maps[(n, p)][i] for i in points} == {
-            canonical_columns(involution_columns(i, n, p), p)
-            for i in points}
-        assert {maps[(n, p)][i][2] for i in points} == inter
-        assert {maps[xm][i] for i in points} == composed
+        n = s.n
+        context = certificates._involution_context(op.matrix(p))
+        images = {certificates._involution_cell(i, n, p) for i in points}
+        assert images == {canonical_columns(involution_columns(i, n, p), p)
+                          for i in points}
+        assert {image[2] for image in images} == inter
+        assert {certificates._composed(context, i) for i in points} == composed
+    # The values compared were the cached ones.
+    assert index_map_sizes() == sizes
 
 
 def test_a_warm_involution_adds_no_index_map_entry():
+    # A warm sweep adds no cache miss, so no entry, to either map.
     op = jordan_operator([(1, 2), (0, 1)])
     clear_memos()
     for s in enumerate_shapes(3):
         verify_involution(op, s, 5)
     sizes = index_map_sizes()
-    assert set(sizes) == {(3, 5), op.matrix(5)}
+    # Hess(X, full shape) holds all 186 flags at (3, 5).
+    assert sizes == ((186, 186), (186, 186))
     for s in enumerate_shapes(3):
         verify_involution(op, s, 5)
     assert index_map_sizes() == sizes
+    hits = [memo.cache_info().hits for memo in INDEX_MAPS]
+    assert all(h > 0 for h in hits)
 
 
-def test_the_index_maps_stay_within_their_bound(monkeypatch):
-    monkeypatch.setattr(certificates, "INDEX_MEMO_SIZE", 100)
-    monkeypatch.setattr(certificates, "INDEX_MEMO_MAPS", 3)
+def test_the_index_maps_stay_within_their_bound():
+    # Each map holds half of INDEX_MEMO_SIZE. Hess(N, full shape) at (5, 2)
+    # is all 9,765 flags, so one call maps more points than either bound.
+    bound = certificates.INDEX_MEMO_SIZE // 2
+    assert all(memo.cache_info().maxsize == bound for memo in INDEX_MAPS)
     clear_memos()
     ops = [jordan_operator([(0, 3)]), jordan_operator([(1, 2), (0, 1)]),
            jordan_operator([(1, 1), (0, 2)])]
@@ -477,26 +491,36 @@ def test_the_index_maps_stay_within_their_bound(monkeypatch):
         for op in ops:
             for s in enumerate_shapes(3, strict_only=True):
                 assert verify_involution(op, s, p).ok
-                sizes = index_map_sizes()
-                assert len(sizes) <= 3 and sum(sizes.values()) <= 100
-    # A call that maps more points than the bound keeps none of them.
-    assert verify_involution(ops[0], full_shape(3), 5).count == 186
-    assert index_map_sizes() == {}
+                assert all(k <= bound for k, _ in index_map_sizes())
+    before = index_map_sizes()
+    report = verify_involution(jordan_operator([(0, 5)]), full_shape(5), 2)
+    assert report.ok and report.count == q_factorial(5, 2) > bound
+    # Each point is mapped once, though neither map can hold them all.
+    assert index_map_sizes() == tuple((bound, misses + report.count)
+                                      for _, misses in before)
 
 
-def test_refilling_one_index_map_keeps_the_bound(monkeypatch):
-    # The (n, p) map can go while X's map stays; refilling it must still
-    # respect INDEX_MEMO_SIZE, though X's map gains no entry.
-    monkeypatch.setattr(certificates, "INDEX_MEMO_SIZE", 60)
-    clear_memos()
+def test_a_new_context_is_a_new_key_of_the_composed_map():
+    # The composed map is keyed by the context object itself: once the
+    # context memo is cleared, the same operator's points miss again and
+    # are mapped with the new context's P, while the involution map, keyed
+    # by (index, n, p) alone, is still read.
     op = jordan_operator([(1, 2), (0, 1)])
-    s = shape_from_function([2, 3, 3])
-    report = verify_involution(op, s, 5)
-    assert report.ok and 30 < report.count <= 60
-    # Both maps would hold more than 60 entries: the older one goes.
-    assert index_map_sizes() == {op.matrix(5): report.count}
-    assert verify_involution(op, s, 5) == report
-    assert index_map_sizes() == {op.matrix(5): report.count}
+    shapes = enumerate_shapes(3)
+    clear_memos()
+    first = [verify_involution(op, s, 5) for s in shapes]
+    old = certificates._involution_context(op.matrix(5))
+    (cells, cell_misses), (entries, misses) = index_map_sizes()
+    certificates._involution_context.cache_clear()
+    assert [verify_involution(op, s, 5) for s in shapes] == first
+    new = certificates._involution_context(op.matrix(5))
+    assert new is not old
+    assert index_map_sizes() == ((cells, cell_misses),
+                                 (2 * entries, 2 * misses))
+    for i in range(q_factorial(3, 5)):
+        w, values, _ = certificates._involution_cell(i, 3, 5)
+        assert (certificates._composed(new, i)
+                == certificates._composed_index(new.pmul, w, values, new.ln))
 
 
 def changed_entry(mat, i, j):
@@ -531,6 +555,20 @@ def test_a_bad_cached_transform_is_caught(monkeypatch, bad):
             with pytest.raises(RuntimeError, match="similarity transform"):
                 verify_involution(op, borel_shape(3), 3)
         assert certificates._involution_context.cache_info().hits == 1
+    finally:
+        certificates._involution_context.cache_clear()
+
+
+def test_an_operator_without_a_transform_keeps_no_context(monkeypatch):
+    op = jordan_operator([(1, 2), (0, 1)])
+    monkeypatch.setattr(certificates, "_involution_transform",
+                        lambda x: (antitranspose(x), None, None))
+    certificates._involution_context.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="must be similar"):
+                verify_involution(op, borel_shape(3), 3)
+        assert certificates._involution_context(op.matrix(3)) is None
     finally:
         certificates._involution_context.cache_clear()
 

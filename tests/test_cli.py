@@ -605,6 +605,18 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+def test_importing_the_cli_leaves_random_unloaded():
+    """Only similarity_transform's random fallback imports random."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "import hessalg.cli\n"
+              "print('random' in sys.modules)\n" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "False\n")
+
+
 def test_an_unwritable_output_is_a_usage_error(tmp_path):
     target = tmp_path / "missing" / "out.json"
     proc = _run_module("variety", "--n", "2", "--x", "jordan:0^2",
