@@ -14,12 +14,11 @@ import os
 import re
 import sys
 
-# Eager: the benchmark's tracer imports cli alone, then reads sys.modules.
-from . import certificates, varieties
-from .flags import GUARD_PRIMES, point_labels
-from .shapes import (diagram_text, enumerate_shapes, is_strict, mask_text,
-                     negative_root_set, parse_ints, parse_shape, shape_text,
-                     shape_to_diagram)
+# Module objects only, each named where it is used: the package registers
+# them lazily, so a command runs just the modules it reads (parsing a
+# command line runs none), and the benchmark's tracer, which imports cli
+# alone, still finds each of them in sys.modules.
+from . import certificates, flags, shapes, varieties
 
 SCHEMA = "hessalg/1"
 
@@ -39,7 +38,7 @@ def parse_operator(text: str, n: int) -> varieties.OperatorSpec:
             raise ValueError("Jordan block sizes must sum to n=%d" % n)
         return varieties.OperatorSpec(name=text, n=n, blocks=tuple(blocks))
     if text.startswith("matrix:"):
-        rows = tuple(tuple(parse_ints(row, text, "--x"))
+        rows = tuple(tuple(shapes.parse_ints(row, text, "--x"))
                      for row in text[len("matrix:"):].split(";"))
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix must be %dx%d" % (n, n))
@@ -49,7 +48,7 @@ def parse_operator(text: str, n: int) -> varieties.OperatorSpec:
 
 
 def parse_primes(text: str):
-    primes = tuple(parse_ints(text, text, "--p", "primes"))
+    primes = tuple(shapes.parse_ints(text, text, "--p", "primes"))
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     return primes
@@ -65,11 +64,11 @@ def _column_text(mat, j: int) -> str:
 
 
 def _shape_json(s):
-    return {"h": shape_text(s), "yd": diagram_text(s)}
+    return {"h": shapes.shape_text(s), "yd": shapes.diagram_text(s)}
 
 
 def _roots_text(s) -> str:
-    roots = sorted(negative_root_set(s))
+    roots = sorted(shapes.negative_root_set(s))
     return "{" + ",".join(
         "-" + "-".join("a%d" % k for k in range(i, j)) for i, j in roots) + "}"
 
@@ -96,14 +95,14 @@ def _emit(args, text) -> None:
 def cmd_shapes(args) -> int:
     if args.n < 1:
         raise ValueError("--n %d: rank must be positive" % args.n)
-    shapes = enumerate_shapes(args.n, args.strict)
+    census = shapes.enumerate_shapes(args.n, args.strict)
     if args.format == "json":
         rows = []
-        for s in shapes:
+        for s in census:
             row = dict(_shape_json(s))
-            row["mask"] = mask_text(s)
-            row["strict"] = is_strict(s)
-            if is_strict(s):
+            row["mask"] = shapes.mask_text(s)
+            row["strict"] = shapes.is_strict(s)
+            if shapes.is_strict(s):
                 row["roots"] = _roots_text(s)
             rows.append(row)
         _emit(args, json.dumps({"schema": SCHEMA, "command": "shapes",
@@ -111,9 +110,10 @@ def cmd_shapes(args) -> int:
                                 "shapes": rows}, indent=2))
     else:
         lines = []
-        for s in shapes:
-            cols = [shape_text(s), diagram_text(s), "mask=" + mask_text(s)]
-            if is_strict(s):
+        for s in census:
+            cols = [shapes.shape_text(s), shapes.diagram_text(s),
+                    "mask=" + shapes.mask_text(s)]
+            if shapes.is_strict(s):
                 cols.append("M_H=" + _roots_text(s))
             lines.append("  ".join(cols))
         _emit(args, "\n".join(lines))
@@ -129,7 +129,7 @@ def _point_list(points):
     """The text json.dumps(..., indent=2) gives a variety's "points" list,
     in pieces. Labels need no escaping: they are made of e, r, c, digits,
     brackets, braces, commas, '=' and spaces."""
-    labels = point_labels(points)
+    labels = flags.point_labels(points)
     first = next(labels, None)
     if first is None:
         yield "[]"
@@ -152,7 +152,7 @@ def _variety_text(doc, bitmaps):
 
 def cmd_variety(args) -> int:
     op = parse_operator(args.x, args.n)
-    shape = parse_shape(args.h, args.n)
+    shape = shapes.parse_shape(args.h, args.n)
     primes = parse_primes(args.p)
     # Every search runs before any output: the counts and the fit need all
     # of them, and a refused prime leaves no partial document or file.
@@ -181,7 +181,7 @@ def _poset_dot(poset) -> str:
         if not any(b.count for b in c.bitmaps):
             label = "∅-variety"
         else:
-            parts = shape_to_diagram(rep).parts
+            parts = shapes.shape_to_diagram(rep).parts
             label = "λ=%s | h=%s | %d" % (
                 ",".join(str(x) for x in parts) if parts else "∅",
                 ",".join(str(x) for x in rep.t), c.bitmaps[0].count)
@@ -200,7 +200,7 @@ def cmd_poset(args) -> int:
         _emit(args, _poset_dot(poset))
         return 0
     classes = [{"name": c.name,
-                "shapes": [shape_text(s) for s in c.shapes],
+                "shapes": [shapes.shape_text(s) for s in c.shapes],
                 "counts": [b.count for b in c.bitmaps]}
                for c in poset.classes]
     _emit(args, json.dumps({"schema": SCHEMA, "command": "poset",
@@ -220,7 +220,7 @@ def _pick_witness_prime(op, requested):
         return requested
     ints = {ev for ev, _ in op.blocks if not isinstance(ev, str)}
     hosts = []
-    for p in GUARD_PRIMES:
+    for p in flags.GUARD_PRIMES:
         try:
             scalar = op.jordan(p).is_scalar()
         except ValueError:
@@ -251,7 +251,7 @@ def cmd_witness(args) -> int:
 
 def cmd_involution(args) -> int:
     op = parse_operator(args.x, args.n)
-    shape = parse_shape(args.h, args.n)
+    shape = shapes.parse_shape(args.h, args.n)
     report = certificates.verify_involution(op, shape, args.p)
     _emit(args, json.dumps({
         "schema": SCHEMA, "command": "involution", "operator": op.name,
@@ -265,7 +265,7 @@ def cmd_involution(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    shape = parse_shape(args.h, args.n)
+    shape = shapes.parse_shape(args.h, args.n)
     report = certificates.verify_decomposition(shape, args.p, args.j)
     h1, h2 = report.sub_shapes
     _emit(args, json.dumps({

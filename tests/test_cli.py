@@ -606,15 +606,71 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
 
 
 def test_importing_the_cli_leaves_random_unloaded():
-    """Only similarity_transform's random fallback imports random."""
+    """Only similarity_transform's random fallback imports random: not the
+    CLI, nor a variety query, which runs field, where the fallback lives."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    script = ("import sys\n"
+    script = ("import contextlib, io, sys\n"
               "sys.path.insert(0, %r)\n"
               "import hessalg.cli\n"
+              "print('random' in sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    hessalg.cli.main(['variety', '--n', '3', '--x',\n"
+              "                      'jordan:0^3', '--h', 'h:2,3,3',\n"
+              "                      '--p', '2'])\n"
               "print('random' in sys.modules)\n" % src)
     out = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, timeout=120)
-    assert (out.returncode, out.stderr, out.stdout) == (0, "", "False\n")
+    assert (out.returncode, out.stderr, out.stdout) == (
+        0, "", "False\nFalse\n")
+
+
+def _modules_run(*steps):
+    """In a fresh interpreter: import hessalg.cli, then after each step (a
+    command line to parse, or to run when it starts with "main") the
+    sorted hessalg modules that have run. A module the package registered
+    lazily keeps its own class until an attribute read runs it, so the
+    check reads no attribute of the module."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "sys.path.insert(0, %r)\n"
+        "import hessalg.cli\n"
+        "ran = []\n"
+        "for step in %r:\n"
+        "    if step[0] == 'main':\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert hessalg.cli.main(step[1:]) == 0\n"
+        "    else:\n"
+        "        hessalg.cli.build_parser().parse_args(step)\n"
+        "    ran.append(sorted(\n"
+        "        name for name, m in sys.modules.items()\n"
+        "        if name.split('.')[0] == 'hessalg'\n"
+        "        and type(m) is types.ModuleType))\n"
+        "print(json.dumps(ran))\n" % (src, [list(s) for s in steps]))
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    return json.loads(out.stdout)
+
+
+def test_each_command_runs_only_the_modules_it_reads():
+    """Parsing a command line runs only the package and the CLI; `shapes`
+    adds field and shapes; `variety` and `poset` never run certificates."""
+    parse = ["poset", "--n", "4", "--x", "jordan:0^4", "--p", "2,3"]
+    cli = ["hessalg", "hessalg.cli"]
+    assert _modules_run(parse, ["main", "shapes", "--n", "3"]) == [
+        cli, cli + ["hessalg.field", "hessalg.shapes"]]
+    search = cli + ["hessalg.field", "hessalg.flags", "hessalg.shapes",
+                    "hessalg.varieties"]
+    assert _modules_run(
+        ["main", "variety", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3",
+         "--p", "2"],
+        ["main", "poset", "--n", "3", "--x", "jordan:0^3", "--p", "2"],
+    ) == [search, search]
+    assert _modules_run(
+        ["main", "involution", "--n", "3", "--x", "jordan:0^3",
+         "--h", "h:2,3,3", "--p", "3"]) == [sorted(search + [
+             "hessalg.certificates"])]
 
 
 def test_an_unwritable_output_is_a_usage_error(tmp_path):
