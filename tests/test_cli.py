@@ -589,20 +589,28 @@ def _run_module(*argv, **kwargs):
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     """Importing the CLI and parsing a command line pulls in neither
-    module; together they cost a fifth of a cold start."""
+    module; together they cost a fifth of a cold start. Nor does a
+    command that runs every module, so no value type brings them back."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = (
-        "import sys\n"
+        "import contextlib, io, sys, types\n"
         "sys.path.insert(0, %r)\n"
         "import hessalg.cli\n"
         "hessalg.cli.build_parser().parse_args(['variety', '--n', '4', "
         "'--x', 'jordan:a^1,b^1,c^1,d^1', '--h', 'h:2,3,4,4', '--p', '5'])\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    hessalg.cli.main(['involution', '--n', '3', '--x',\n"
+        "                      'jordan:1^1,0^2', '--h', 'h:2,3,3',\n"
+        "                      '--p', '3'])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sum(type(m) is types.ModuleType for name, m in\n"
+        "          sys.modules.items() if name.split('.')[0] == 'hessalg'))\n"
         % src)
     out = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n7\n"
 
 
 def test_importing_the_cli_leaves_random_unloaded():
@@ -624,53 +632,37 @@ def test_importing_the_cli_leaves_random_unloaded():
         0, "", "False\nFalse\n")
 
 
-def _modules_run(*steps):
-    """In a fresh interpreter: import hessalg.cli, then after each step (a
-    command line to parse, or to run when it starts with "main") the
-    sorted hessalg modules that have run. A module the package registered
-    lazily keeps its own class until an attribute read runs it, so the
-    check reads no attribute of the module."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    script = (
-        "import contextlib, io, json, sys, types\n"
-        "sys.path.insert(0, %r)\n"
-        "import hessalg.cli\n"
-        "ran = []\n"
-        "for step in %r:\n"
-        "    if step[0] == 'main':\n"
-        "        with contextlib.redirect_stdout(io.StringIO()):\n"
-        "            assert hessalg.cli.main(step[1:]) == 0\n"
-        "    else:\n"
-        "        hessalg.cli.build_parser().parse_args(step)\n"
-        "    ran.append(sorted(\n"
-        "        name for name, m in sys.modules.items()\n"
-        "        if name.split('.')[0] == 'hessalg'\n"
-        "        and type(m) is types.ModuleType))\n"
-        "print(json.dumps(ran))\n" % (src, [list(s) for s in steps]))
-    out = subprocess.run([sys.executable, "-S", "-c", script],
-                         capture_output=True, text=True, timeout=120)
+def _modules_run(*argv):
+    """The hessalg modules that one command line runs, in a fresh
+    interpreter, by tools/startup.py (a line ending in --help is only
+    parsed)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-S", str(root / "tools" / "startup.py"), *argv],
+        env=env, capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stderr) == (0, "")
-    return json.loads(out.stdout)
+    return out.stdout.split()[2:]
 
 
 def test_each_command_runs_only_the_modules_it_reads():
     """Parsing a command line runs only the package and the CLI; `shapes`
     adds field and shapes; `variety` and `poset` never run certificates."""
-    parse = ["poset", "--n", "4", "--x", "jordan:0^4", "--p", "2,3"]
     cli = ["hessalg", "hessalg.cli"]
-    assert _modules_run(parse, ["main", "shapes", "--n", "3"]) == [
-        cli, cli + ["hessalg.field", "hessalg.shapes"]]
+    assert _modules_run("poset", "--n", "4", "--x", "jordan:0^4", "--p",
+                        "2,3", "--help") == cli
+    assert _modules_run("shapes", "--n", "3") == cli + [
+        "hessalg.field", "hessalg.shapes"]
     search = cli + ["hessalg.field", "hessalg.flags", "hessalg.shapes",
                     "hessalg.varieties"]
-    assert _modules_run(
-        ["main", "variety", "--n", "3", "--x", "jordan:0^3", "--h", "h:2,3,3",
-         "--p", "2"],
-        ["main", "poset", "--n", "3", "--x", "jordan:0^3", "--p", "2"],
-    ) == [search, search]
-    assert _modules_run(
-        ["main", "involution", "--n", "3", "--x", "jordan:0^3",
-         "--h", "h:2,3,3", "--p", "3"]) == [sorted(search + [
-             "hessalg.certificates"])]
+    assert _modules_run("variety", "--n", "3", "--x", "jordan:0^3", "--h",
+                        "h:2,3,3", "--p", "2") == search
+    assert _modules_run("poset", "--n", "3", "--x", "jordan:0^3",
+                        "--p", "2") == search
+    assert _modules_run("involution", "--n", "3", "--x", "jordan:0^3",
+                        "--h", "h:2,3,3", "--p", "3") == sorted(
+                            search + ["hessalg.certificates"])
 
 
 def test_an_unwritable_output_is_a_usage_error(tmp_path):
