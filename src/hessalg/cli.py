@@ -178,13 +178,13 @@ def _poset_dot(poset) -> str:
     lines = ["digraph P_X {", "  rankdir=BT;"]
     for c in poset.classes:
         rep = c.representative
-        if not any(b.count for b in c.bitmaps):
+        if not any(c.counts):
             label = "∅-variety"
         else:
             parts = shapes.shape_to_diagram(rep).parts
             label = "λ=%s | h=%s | %d" % (
                 ",".join(str(x) for x in parts) if parts else "∅",
-                ",".join(str(x) for x in rep.t), c.bitmaps[0].count)
+                ",".join(str(x) for x in rep.t), c.counts[0])
         lines.append('  "%s" [label="%s"];' % (c.name, label))
     for a, b in poset.hasse:
         lines.append('  "%s" -> "%s";' % (a, b))
@@ -201,7 +201,7 @@ def cmd_poset(args) -> int:
         return 0
     classes = [{"name": c.name,
                 "shapes": [shapes.shape_text(s) for s in c.shapes],
-                "counts": [b.count for b in c.bitmaps]}
+                "counts": list(c.counts)}
                for c in poset.classes]
     _emit(args, json.dumps({"schema": SCHEMA, "command": "poset",
                             "operator": op.name, "n": args.n,

@@ -43,24 +43,23 @@ class OperatorSpec(Value):
             raise ValueError("raw matrix must be n x n")
         Value.__init__(self, name, n, blocks, entries)
 
-    def _symbols(self):
-        return sorted({ev for ev, _ in (self.blocks or ()) if isinstance(ev, str)})
-
     def jordan(self, p: int) -> JordanSpec | None:
         # Checked first: the residues below are taken mod p.
         if not is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         if self.blocks is None:
             return None
-        syms = self._symbols()
+        syms = sorted({ev for ev, _ in self.blocks if isinstance(ev, str)})
         taken = {int(ev) % p for ev, _ in self.blocks
                  if not isinstance(ev, str)}
-        free = [v for v in range(p - 1, -1, -1) if v not in taken]
-        if len(syms) > len(free):
+        # Each symbol takes the largest residue left. zip stops after the
+        # last symbol, so at most len(syms) + len(taken) residues are read.
+        values = dict(zip(syms, (v for v in range(p - 1, -1, -1)
+                                 if v not in taken)))
+        if len(values) < len(syms):
             raise ValueError(
                 "p=%d too small for %d distinct symbolic eigenvalues"
                 % (p, len(syms)))
-        values = dict(zip(syms, free))
         resolved = [(values[ev] if isinstance(ev, str) else int(ev) % p, size)
                     for ev, size in self.blocks]
         return jordan_spec(resolved, p)
@@ -460,7 +459,7 @@ def compute_variety(x: OperatorSpec, s: HessShape, p: int,
 class EqClass(Value):
     __slots__ = ("name",     # diagram text of the lex-least member shape
                  "shapes",   # member HessShapes, lex order on thresholds
-                 "bitmaps")  # one FlagSet per prime, in the primes order
+                 "counts")   # point count per prime, in the primes order
 
     @property
     def representative(self) -> HessShape:
@@ -475,6 +474,12 @@ class PosetPX(Value):
 
 def build_poset(x: OperatorSpec, primes,
                 strict_only: bool = False) -> PosetPX:
+    """P_X over the primes: the shapes (all, or the strict ones) in classes
+    keyed by their per-prime down-set masks (_downset), so two shapes share
+    a class iff they give the same variety at every prime, and a < b iff
+    a's mask is a proper subset of b's at every prime. A class's count at a
+    prime sums its disjoint hull groups there; its points are those of
+    compute_variety of its representative."""
     if isinstance(primes, int):
         primes = (primes,)
     primes = tuple(primes)
@@ -489,9 +494,7 @@ def build_poset(x: OperatorSpec, primes,
         check_guards(n, p)
     shapes = enumerate_shapes(n, strict_only)
     tables = [_hull_groups(x.matrix(p), n, p, shapes) for p in primes]
-    # A shape's key is the mask of its down-set of hulls at each prime. The
-    # shapes come in lex order, so the classes come out sorted by
-    # representative.
+    # Shapes come in lex order, so classes come out sorted by representative.
     members_of = {}
     for s in shapes:
         downs = [_downset(table, s.t) for table in tables]
@@ -500,11 +503,8 @@ def build_poset(x: OperatorSpec, primes,
     keys = list(members_of)
     classes = tuple(
         EqClass(diagram_text(members[0]), tuple(members),
-                tuple(FlagSet.from_indices(
-                    itertools.chain.from_iterable(groups), n, p)
-                    for p, (_, groups) in zip(primes, downs)))
+                tuple(sum(map(len, groups)) for _, groups in downs))
         for downs, members in members_of.values())
-    # a < b iff a's down-set is a proper subset of b's at every prime.
     up = [{j for j, kb in enumerate(keys)
            if all(a & b == a != b for a, b in zip(ka, kb))} for ka in keys]
     hasse = tuple((a.name, classes[j].name) for a, ups in zip(classes, up)

@@ -152,7 +152,7 @@ def poset_digests():
                 " strict" if strict_only else "")
             out[key] = _sha([_json(
                 [[[c.name, [s.t for s in c.shapes],
-                   [b.count for b in c.bitmaps]] for c in poset.classes],
+                   list(c.counts)] for c in poset.classes],
                  poset.hasse])])
     return out
 

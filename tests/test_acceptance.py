@@ -19,8 +19,9 @@ from hessalg.flags import iter_flags, member, profile, q_factorial
 from hessalg.shapes import (borel_shape, enumerate_shapes, peterson_shape,
                             shape_from_function, shape_text, split_points,
                             transpose_shape)
-from hessalg.varieties import (build_poset, interpolate, jordan_operator,
-                               point_counts, variety_bitmaps)
+from hessalg.varieties import (build_poset, compute_variety, interpolate,
+                               jordan_operator, point_counts,
+                               variety_bitmaps)
 from hessalg.certificates import (certify_distinct, indecomposable_interval,
                                   verify_decomposition, verify_involution,
                                   witness_flag)
@@ -111,12 +112,15 @@ def test_criterion_02_projection_poset():
         # The two smallest shapes share the empty variety.
         empty = by_name["yd:2,2"]
         assert sorted(s.t for s in empty.shapes) == [(0, 0), (0, 1)]
-        assert all(b.count == 0 for b in empty.bitmaps)
-        # Point sets: {s_1 B}, {eB}, {eB, s_1 B}; identical class structure
-        # at each prime separately.
-        assert by_name["yd:1,1"].bitmaps[0].indices() == [1]   # s_1 B
-        assert by_name["yd:2"].bitmaps[0].indices() == [0]     # eB
-        assert by_name["yd:1"].bitmaps[0].indices() == [0, 1]  # both
+        assert empty.counts == (0, 0, 0)
+        # Point sets at p = 2, from each class's representative:
+        # {s_1 B}, {eB}, {eB, s_1 B}; identical class structure at each
+        # prime separately.
+        points = {name: compute_variety(op, c.representative, 2)
+                  .points.indices() for name, c in by_name.items()}
+        assert points["yd:1,1"] == [1]   # s_1 B
+        assert points["yd:2"] == [0]     # eB
+        assert points["yd:1"] == [0, 1]  # both
         partitions = []
         for p in (2, 3, 5):
             single = build_poset(op, (p,))
@@ -134,7 +138,8 @@ def test_criterion_03_nilpotent_poset():
         middle = by_name["yd:2,1"]
         assert sorted(s.t for s in middle.shapes) == \
             [(0, 1), (0, 2), (1, 1), (1, 2)]
-        assert middle.bitmaps[0].indices() == [0]  # eB only
+        points = compute_variety(op, middle.representative, 2).points
+        assert points.indices() == [0]  # eB only
         assert set(poset.hasse) == {("yd:2,2", "yd:2,1"), ("yd:2,1", "yd:")}
 
 

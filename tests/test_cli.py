@@ -296,6 +296,32 @@ def test_poset_dot_labels_a_class_empty_at_one_prime(capsys):
     assert '"yd:" [label="λ=∅ | h=2,2 | 4"];' in out
 
 
+def test_poset_builds_no_bitmap(capsys, monkeypatch):
+    # A class's counts are the sizes of its hull groups: neither
+    # build_poset nor the poset command builds a FlagSet.
+    op = varieties.jordan_operator([(1, 2), (0, 2)])
+    cases = [(primes, strict) for primes in ((2,), (2, 3))
+             for strict in (False, True)]
+    argvs = [["poset", "--n", "4", "--x", op.name, "--p", "2,3",
+              "--format", fmt] for fmt in ("json", "dot")]
+
+    def outputs():
+        varieties._hull_memo.clear()
+        posets = [varieties.build_poset(op, primes, strict)
+                  for primes, strict in cases]
+        return posets, [run_cli(capsys, *argv) for argv in argvs]
+
+    expected = outputs()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a bitmap was built")
+
+    monkeypatch.setattr(flags.FlagSet, "from_indices", refused)
+    monkeypatch.setattr(flags, "bits_from_indices", refused)
+    assert outputs() == expected
+    assert all(code == 0 for code, _, _ in expected[1])
+
+
 def test_poset_strict_only(capsys):
     doc = run_json(capsys, "poset", "--n", "3", "--x", "jordan:0^3",
                    "--p", "2", "--strict")
@@ -515,6 +541,18 @@ def test_the_size_guard_names_what_each_subcommand_can_do(capsys, argv,
                               "error": GUARD + hint}) + "\n"
 
 
+def test_the_poset_refusal_at_a_large_prime(capsys):
+    # The operator is resolved before the guard runs; a list of all p
+    # residues there would take about 1 s and 400 MB.
+    code, out, err = run_cli(capsys, "poset", "--n", "2", "--x", "jordan:0^2",
+                             "--p", "10000019")
+    assert (code, out) == (2, "")
+    assert err == json.dumps({
+        "schema": "hessalg/1",
+        "error": "size guard: need n <= 6 and p in (2, 3, 5, 7) (got n=2, "
+                 "p=10000019); the poset subcommand cannot lift it"}) + "\n"
+
+
 def test_the_bitmap_cap_names_what_each_subcommand_can_do(capsys):
     cap = ("size guard: n=6, p=5 has 88515803376 flags, more than the "
            "bitmap cap of 4294967296 flags (2^32); ")
@@ -724,4 +762,5 @@ def test_readme_library_example():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_readme_block("## Library", "python"), {})
-    assert out.getvalue().splitlines() == ["36", "[1, 2, 1]"]
+    assert out.getvalue().splitlines() == ["36", "[1, 2, 1]",
+                                           "(21, 52, 186)", "21"]

@@ -47,11 +47,11 @@ CASES = [
                            points=_flags()),
      "p", 3, True),
     (EqClass, lambda: dict(name="yd:", shapes=(_shape(),),
-                           bitmaps=(_flags(),)),
+                           counts=(2,)),
      "name", "yd:1", True),
     (PosetPX, lambda: dict(operator=_operator(), primes=(2,),
                            strict_only=False,
-                           classes=(EqClass("yd:", (_shape(),), (_flags(),)),),
+                           classes=(EqClass("yd:", (_shape(),), (2,)),),
                            hasse=()),
      "strict_only", True, True),
     (WitnessCertificate, lambda: dict(
